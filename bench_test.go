@@ -539,24 +539,6 @@ func BenchmarkAblationStrassen(b *testing.B) {
 	}
 }
 
-// AblationEstimator: Algorithm 3 with the geometric-mean estimate vs the
-// sketch-refined estimate (Section-9 extension) — measures planning cost,
-// not execution.
-func BenchmarkAblationEstimator(b *testing.B) {
-	r := ds(b, "Image", benchScale)
-	opt := optimizer.New()
-	b.Run("GeometricMean", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = opt.Choose(r, r, 1)
-		}
-	})
-	b.Run("HLLRefined", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = opt.ChooseWithSketch(r, r, 1, 1<<30)
-		}
-	})
-}
-
 // GroupBy: the Section-9 aggregate extension vs materialize-then-aggregate.
 func BenchmarkGroupByCount(b *testing.B) {
 	r := ds(b, "Words", benchScale)

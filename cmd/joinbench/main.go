@@ -14,7 +14,7 @@
 //	joinbench -views                                 # view maintenance bench
 //	joinbench -views -views-baseline BENCH_views.json  # + maintenance gate
 //	joinbench -recovery                              # replay-vs-recompute bench
-//	joinbench -query-overhead                        # planner telemetry overhead gate
+//	joinbench -query-overhead                        # per-query bookkeeping overhead gate
 //
 // Each experiment prints the same rows/series the paper's corresponding
 // table or figure reports (dataset × algorithm × running time, or a
@@ -62,8 +62,8 @@ func main() {
 		viewsMode  = flag.Bool("views", false, "benchmark incremental view maintenance vs full recompute; writes BENCH_views.json")
 		viewsBase  = flag.String("views-baseline", "", "with -views: gate per-batch maintenance times against this BENCH_views.json snapshot")
 		recovery   = flag.Bool("recovery", false, "benchmark crash recovery (snapshot + WAL replay) vs recompute; writes BENCH_recovery.json")
-		overhead   = flag.Bool("query-overhead", false, "measure planner-accuracy telemetry overhead (instrumented vs baseline, back-to-back) over the query suite")
-		overBudget = flag.Float64("overhead-budget", 0.02, "with -query-overhead: fail when the telemetry overhead fraction exceeds this")
+		overhead   = flag.Bool("query-overhead", false, "measure per-query bookkeeping overhead (Engine.QueryContext vs bare prepare+execute, back-to-back) over the query suite")
+		overBudget = flag.Float64("overhead-budget", 0.02, "with -query-overhead: fail when the bookkeeping overhead fraction exceeds this")
 	)
 	flag.Parse()
 
@@ -273,10 +273,10 @@ func runQueryBench(q string, scale float64, baseline string, tolerance float64) 
 	}
 }
 
-// runOverheadBench measures the planner-accuracy telemetry overhead: the
-// query suite runs back-to-back with and without the accuracy-aggregation
-// path (min-of-reps on both sides) and the suite-weighted ratio is gated
-// against the budget.
+// runOverheadBench measures the per-query bookkeeping overhead: the query
+// suite runs back-to-back through Engine.QueryContext and through bare
+// prepare+execute (min-of-reps on both sides) and the suite-weighted ratio
+// is gated against the budget.
 func runOverheadBench(scale, budget float64) {
 	rep, err := experiments.QueryOverhead(experiments.DefaultQuerySuite(), scale)
 	if err != nil {
@@ -290,11 +290,11 @@ func runOverheadBench(scale, budget float64) {
 	fmt.Printf("%-55s %14d %14d %7.3f×\n", "suite total", rep.BaselineNs, rep.InstrumentedNs, rep.Ratio)
 	over := rep.Ratio - 1
 	if over > budget {
-		fmt.Fprintf(os.Stderr, "joinbench: planner telemetry overhead %.2f%% exceeds budget %.2f%%\n",
+		fmt.Fprintf(os.Stderr, "joinbench: bookkeeping overhead %.2f%% exceeds budget %.2f%%\n",
 			over*100, budget*100)
 		os.Exit(1)
 	}
-	fmt.Printf("planner telemetry overhead %.2f%% within budget %.2f%%\n", over*100, budget*100)
+	fmt.Printf("bookkeeping overhead %.2f%% within budget %.2f%%\n", over*100, budget*100)
 }
 
 // runRecoveryBench measures replay-vs-recompute and writes

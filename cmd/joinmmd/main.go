@@ -352,6 +352,11 @@ func run() error {
 		Build: build, Replica: replica,
 	})
 
+	// Installed before the listener exists: once a client can reach the
+	// server, a SIGTERM must take the graceful path below (drain, close the
+	// WAL), never the default action of killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -372,8 +377,6 @@ func run() error {
 		}
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	var degradeErr error
 	select {
 	case err := <-errCh:

@@ -69,10 +69,6 @@ type Config struct {
 	Strategy       Strategy
 	Workers        int
 	Delta1, Delta2 int // explicit threshold overrides (0 = planner's choice)
-	// SketchBudget > 0 lets the planner refine its output-size estimate
-	// with a one-pass HyperLogLog over the full join whenever
-	// |OUT⋈| ≤ SketchBudget (the Section-9 refinement).
-	SketchBudget int64
 	// MaxQueryBytes and MaxQueryRows cap what one query may materialize
 	// (intermediate folds included); 0 means unlimited. An exceeded budget
 	// aborts the query with govern.ErrBudgetExceeded instead of exhausting
@@ -107,12 +103,6 @@ func WithThresholds(d1, d2 int) Option {
 	return func(c *Config) { c.Delta1, c.Delta2 = d1, d2 }
 }
 
-// WithSketchRefinement enables sketch-refined output estimation in the
-// planner for instances whose full join has at most budget tuples.
-func WithSketchRefinement(budget int64) Option {
-	return func(c *Config) { c.SketchBudget = budget }
-}
-
 // WithQueryBudget caps the bytes and rows one query may materialize (0:
 // unlimited for that dimension).
 func WithQueryBudget(maxBytes, maxRows int64) Option {
@@ -134,7 +124,6 @@ type Engine struct {
 	stmts    *stats.Statements
 	activity *stats.Activity
 	flight   *stats.Flight
-	planner  *stats.Planner
 }
 
 // NewEngine builds an engine; calibration of the optimizer's machine
@@ -157,7 +146,6 @@ func NewEngine(opts ...Option) *Engine {
 		stmts:    stats.NewStatements(cfg.Introspect.MaxStatements),
 		activity: stats.NewActivity(),
 		flight:   stats.NewFlight(cfg.Introspect.FlightSize, cfg.Introspect.FlightSample, cfg.Introspect.SlowThreshold),
-		planner:  stats.NewPlanner(cfg.Introspect.MaxStatements),
 	}
 	e.views = view.NewRegistry(view.Config{
 		Catalog:   e.cat,
@@ -196,12 +184,7 @@ func (e *Engine) planTwoPath(r, s *relation.Relation) Plan {
 	p := Plan{Strategy: e.cfg.Strategy.String(), Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
 	switch e.cfg.Strategy {
 	case Auto:
-		var dec optimizer.Decision
-		if e.cfg.SketchBudget > 0 {
-			dec = e.opt.ChooseWithSketch(r, s, e.cfg.Workers, e.cfg.SketchBudget)
-		} else {
-			dec = e.opt.Choose(r, s, e.cfg.Workers)
-		}
+		dec := e.opt.Choose(r, s, e.cfg.Workers)
 		p.EstOut, p.OutJoin = dec.EstOut, dec.OutJoin
 		if dec.UseWCOJ {
 			p.Strategy = "wcoj"
@@ -515,14 +498,18 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 		ctx = govern.WithBudget(ctx, govern.New(e.cfg.MaxQueryBytes, e.cfg.MaxQueryRows))
 	}
 	start := time.Now()
+	reqID := obs.RequestIDFrom(ctx)
 	p, hit, err := e.cat.PrepareContext(ctx, src)
 	if err != nil {
 		queryErrors.Inc()
 		// Prepare failures re-derive the fingerprint from the raw text (an
 		// extra parse only on this cold error path); unparseable statements
 		// land in the <invalid> bucket.
-		e.recordQuery(ctx, query.FingerprintText(src), src, start,
-			classifyOutcome(err, false), 0, 0, false, nil, err, nil)
+		e.record(stats.Observation{
+			Fingerprint: query.FingerprintText(src), Text: src, RequestID: reqID,
+			Start: start, Elapsed: time.Since(start),
+			Outcome: classifyOutcome(err, false), Err: err,
+		})
 		return nil, err
 	}
 	prepared := time.Now()
@@ -532,7 +519,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 	// kernels.
 	qctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	act := e.activity.Begin(obs.RequestIDFrom(ctx), p.Fingerprint, p.Text, cancel)
+	act := e.activity.Begin(reqID, p.Fingerprint, p.Text, cancel)
 	// Deferred so a panicking evaluation (confined to its request by the
 	// server's guard) still leaves the activity view.
 	defer e.activity.Finish(act)
@@ -541,8 +528,12 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 	res, err := p.Execute(qctx, opts)
 	if err != nil {
 		queryErrors.Inc()
-		e.recordQuery(ctx, p.Fingerprint, p.Text, start,
-			classifyOutcome(err, act.Killed()), act.Rows(), act.Bytes(), hit, nil, err, nil)
+		e.record(stats.Observation{
+			Fingerprint: p.Fingerprint, Text: p.Text, RequestID: reqID,
+			Start: start, Elapsed: time.Since(start),
+			Outcome: classifyOutcome(err, act.Killed()),
+			Rows:    act.Rows(), Bytes: act.Bytes(), CacheHit: hit, Err: err,
+		})
 		return nil, err
 	}
 	res.Plan.CacheHit = hit
@@ -552,16 +543,20 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*query.Result, e
 	querySeconds.ObserveSince(start)
 	queryRowsTotal.Add(uint64(len(res.Tuples)))
 	queryBudgetBytes.Add(uint64(res.Plan.BudgetBytes))
-	e.recordQuery(ctx, p.Fingerprint, p.Text, start, stats.OutcomeOK,
-		int64(len(res.Tuples)), res.Plan.BudgetBytes, hit, res.Plan.Strategies(), nil,
-		func() string {
+	e.record(stats.Observation{
+		Fingerprint: p.Fingerprint, Text: p.Text, RequestID: reqID,
+		Start: start, Elapsed: time.Since(start), Outcome: stats.OutcomeOK,
+		Rows: int64(len(res.Tuples)), Bytes: res.Plan.BudgetBytes, CacheHit: hit,
+		Strategies: res.Plan.Strategies(),
+		Nodes:      auditedNodes(res.Plan),
+		Plan: func() string {
 			// Lazily rendered only when the flight recorder retains the
 			// record; the copy keeps the caller's plan un-mutated.
 			pl := *res.Plan
 			pl.Analyzed = true
 			return pl.String()
-		})
-	e.notePlanner(p.Fingerprint, res.Plan)
+		},
+	})
 	// Between queries is the only place constants may move: every decision
 	// in the evaluation above read one consistent snapshot.
 	e.opt.MaybeRecalibrate()

@@ -222,20 +222,6 @@ func TestEnginePathAndSnowflake(t *testing.T) {
 	}
 }
 
-func TestSketchRefinedPlanning(t *testing.T) {
-	dense, _ := dataset.ByName("Image", 0.4)
-	eng := NewEngine(WithSketchRefinement(1 << 30))
-	plan := eng.Explain(dense, dense)
-	if plan.Strategy != "mm" {
-		t.Fatalf("sketch-refined plan = %s, want mm", plan.Strategy)
-	}
-	out, _ := eng.JoinProject(dense, dense)
-	base, _ := NewEngine().JoinProject(dense, dense)
-	if len(out) != len(base) {
-		t.Fatalf("sketch refinement changed the result: %d vs %d", len(out), len(base))
-	}
-}
-
 func TestEngineGroupByAndTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(100))
 	r := randomRel(rng, "R", 400, 40, 20)

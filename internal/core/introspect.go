@@ -35,8 +35,8 @@ func WithIntrospection(ic IntrospectionConfig) Option {
 	return func(c *Config) { c.Introspect = ic }
 }
 
-// StatementStats exposes the per-fingerprint statement statistics behind
-// GET /stats/statements.
+// StatementStats exposes the per-fingerprint registry behind
+// GET /stats/statements and GET /stats/planner.
 func (e *Engine) StatementStats() *stats.Statements { return e.stmts }
 
 // Activity exposes the in-flight query registry behind GET /stats/activity;
@@ -51,15 +51,13 @@ func (e *Engine) FlightRecorder() *stats.Flight { return e.flight }
 // was shed: the query never reached evaluation, so the server reports it
 // here for the statement sheet and flight recorder.
 func (e *Engine) NoteShed(ctx context.Context, src string) {
-	fp := query.FingerprintText(src)
-	e.stmts.RecordShed(fp)
-	e.flight.Record(stats.FlightRecord{
+	e.record(stats.Observation{
+		Fingerprint: query.FingerprintText(src),
+		Text:        src,
 		RequestID:   obs.RequestIDFrom(ctx),
-		Fingerprint: fp,
-		Query:       src,
+		Start:       time.Now(),
 		Outcome:     stats.OutcomeShed,
-		StartUnix:   time.Now().UnixMilli(),
-	}, nil)
+	})
 }
 
 // classifyOutcome maps an evaluation error to its statement-stats outcome.
@@ -82,33 +80,13 @@ func classifyOutcome(err error, killed bool) stats.Outcome {
 	}
 }
 
-// recordQuery feeds one completed evaluation into the statement sheet and
-// the flight recorder. planFn lazily renders the analyzed plan tree; nil
-// when the query never produced a plan (prepare failures).
-func (e *Engine) recordQuery(ctx context.Context, fingerprint, text string, start time.Time,
-	outcome stats.Outcome, rows, bytes int64, hit bool, strategies []string, err error, planFn func() string) {
-	elapsed := time.Since(start)
-	e.stmts.Record(fingerprint, stats.Observation{
-		Outcome:    outcome,
-		Elapsed:    elapsed,
-		Rows:       rows,
-		Bytes:      bytes,
-		CacheHit:   hit,
-		Strategies: strategies,
-	})
-	rec := stats.FlightRecord{
-		RequestID:   obs.RequestIDFrom(ctx),
-		Fingerprint: fingerprint,
-		Query:       text,
-		Outcome:     outcome,
-		StartUnix:   start.UnixMilli(),
-		ElapsedMs:   float64(elapsed.Nanoseconds()) / 1e6,
-		Rows:        rows,
-		Bytes:       bytes,
-		CacheHit:    hit,
+// record feeds one completed query to every sink from its one record: the
+// optimizer's drift EWMAs, the statement and planner sheets, and the flight
+// recorder.
+func (e *Engine) record(o stats.Observation) {
+	for _, n := range o.Nodes {
+		e.opt.ObserveNode(n.Strategy, n.PredictedNs, float64(n.ActualNs))
 	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	e.flight.Record(rec, planFn)
+	e.stmts.Record(o)
+	e.flight.Record(o)
 }

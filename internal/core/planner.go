@@ -7,10 +7,11 @@ import (
 )
 
 // Planner-accuracy wiring: after a query succeeds, every optimizer-priced
-// plan node is joined with its measured wall time and output size, fed to
-// the per-fingerprint accuracy sheet behind GET /stats/planner and to the
-// optimizer's drift EWMAs, and — when recalibration is enabled — the
-// optimizer gets a chance to adopt observed constants between queries.
+// plan node is joined with its measured wall time and output size and
+// carried on the query's completed record, which feeds the per-fingerprint
+// accuracy sheet behind GET /stats/planner and the optimizer's drift EWMAs;
+// when recalibration is enabled the optimizer then gets a chance to adopt
+// observed constants between queries.
 
 // WithOptimizerConstants pins the optimizer's (Ts, Tm, TI) machine
 // constants, skipping the startup micro-probe: reproducible plan choices
@@ -35,16 +36,9 @@ func WithNearMarginBand(band float64) Option {
 	return func(cfg *Config) { cfg.NearMarginBand = band }
 }
 
-// PlannerStats exposes the per-fingerprint planner-accuracy sheet behind
-// GET /stats/planner.
-func (e *Engine) PlannerStats() *stats.Planner { return e.planner }
-
-// notePlanner extracts every audited (optimizer-priced) node from an
-// executed plan and feeds the accuracy sheet and the drift EWMAs.
-func (e *Engine) notePlanner(fingerprint string, plan *query.Plan) {
-	if plan == nil {
-		return
-	}
+// auditedNodes extracts every optimizer-priced node of an executed plan,
+// joined with its measured wall time and output size.
+func auditedNodes(plan *query.Plan) []stats.NodeObservation {
 	var nodes []stats.NodeObservation
 	plan.Walk(func(n *query.Node) {
 		if n.PredictedNs <= 0 && n.OutJoin <= 0 {
@@ -57,7 +51,6 @@ func (e *Engine) notePlanner(fingerprint string, plan *query.Plan) {
 			Margin: n.Margin, NearMargin: n.NearMargin,
 			Delta1: n.Delta1, Delta2: n.Delta2,
 		})
-		e.opt.ObserveNode(n.Strategy, n.PredictedNs, float64(n.TimeNs))
 	})
-	e.planner.Record(fingerprint, nodes)
+	return nodes
 }

@@ -6,17 +6,18 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/optimizer"
+	"repro/internal/core"
 	"repro/internal/query"
-	"repro/internal/stats"
 )
 
-// Planner-accuracy overhead harness: the accuracy telemetry rides the
-// engine's query path (per-node predicted-vs-actual capture, the
-// /stats/planner aggregation, the optimizer drift EWMAs), and its budget is
-// ≤2% of end-to-end query time. QueryOverhead measures the same suite
-// back-to-back with and without the aggregation layer — min-of-reps on both
-// sides, interleaved per query so machine drift hits both equally.
+// Per-query bookkeeping overhead harness: everything the engine does
+// around plan execution — the live activity entry, the query metrics, and
+// the one completed-query record feeding the statement and planner sheets,
+// the flight recorder and the optimizer drift EWMAs — has a budget of ≤2%
+// of end-to-end query time. QueryOverhead measures the same suite
+// back-to-back through Engine.QueryContext and through bare prepare plus
+// execute on the same catalog, interleaved per query so machine drift hits
+// both sides equally.
 
 // QueryOverheadRow is one query's baseline-vs-instrumented comparison.
 // BaselineNs/InstrumentedNs are each side's fastest rep (informational);
@@ -29,7 +30,7 @@ type QueryOverheadRow struct {
 	Ratio          float64 `json:"ratio"`
 }
 
-// OverheadReport is the suite-wide accuracy-telemetry overhead measurement.
+// OverheadReport is the suite-wide bookkeeping overhead measurement.
 type OverheadReport struct {
 	// BaselineNs and InstrumentedNs sum the per-query fastest reps; Ratio is
 	// the baseline-time-weighted mean of the per-query median ratios
@@ -40,37 +41,35 @@ type OverheadReport struct {
 	PerQuery       []QueryOverheadRow `json:"per_query"`
 }
 
-// QueryOverhead measures the planner-accuracy telemetry's overhead over the
-// query suite: each query runs min-of-reps twice back-to-back — plain
-// execution, then execution plus the full accuracy-aggregation path (plan
-// walk, per-fingerprint sheet record, drift observation, recalibration
-// check) — against one shared catalog.
+// QueryOverhead measures the engine's per-query bookkeeping overhead over
+// the query suite: each query runs min-of-reps twice back-to-back — plan
+// cache lookup plus execution, then the same query through
+// Engine.QueryContext — against the engine's own catalog.
 func QueryOverhead(queries []string, scale float64) (*OverheadReport, error) {
-	cat := QueryBenchCatalog(scale)
-	resolver := catalogResolver(cat)
-	opt := optimizer.New()
-	sheet := stats.NewPlanner(0)
+	eng := core.NewEngine()
+	cat := eng.Catalog()
+	registerQueryBench(cat, scale)
+	ctx := context.Background()
+	execOpts := query.ExecOptions{Optimizer: eng.Optimizer()}
 	rep := &OverheadReport{}
 	var sumWeighted float64
 	for _, src := range queries {
-		p, err := query.Prepare(src, resolver)
+		p, _, err := cat.Prepare(src)
 		if err != nil {
 			return nil, fmt.Errorf("query %q: %w", src, err)
 		}
-		execOpts := query.ExecOptions{Optimizer: opt}
-		run := func() (*query.Result, error) {
-			return p.Execute(context.Background(), execOpts)
-		}
 		base, instr, ratio := measurePairNs(
-			func() error { _, err := run(); return err },
 			func() error {
-				res, err := run()
+				p, _, err := cat.PrepareContext(ctx, src)
 				if err != nil {
 					return err
 				}
-				recordAccuracy(sheet, opt, p.Fingerprint, res.Plan)
-				opt.MaybeRecalibrate()
-				return nil
+				_, err = p.Execute(ctx, execOpts)
+				return err
+			},
+			func() error {
+				_, err := eng.QueryContext(ctx, src)
+				return err
 			})
 		if base < 0 || instr < 0 {
 			return nil, fmt.Errorf("query %q failed during measurement", src)
@@ -129,24 +128,4 @@ func measurePairNs(base, instr func() error) (baseNs, instrNs int64, ratio float
 		ratio = (ratios[mid-1] + ratios[mid]) / 2
 	}
 	return baseNs, instrNs, ratio
-}
-
-// recordAccuracy mirrors the engine's notePlanner wiring: extract every
-// optimizer-priced node and feed the sheet and drift EWMAs.
-func recordAccuracy(sheet *stats.Planner, opt *optimizer.Optimizer, fingerprint string, plan *query.Plan) {
-	var nodes []stats.NodeObservation
-	plan.Walk(func(n *query.Node) {
-		if n.PredictedNs <= 0 && n.OutJoin <= 0 {
-			return
-		}
-		nodes = append(nodes, stats.NodeObservation{
-			Op: n.Op, Strategy: n.Strategy,
-			PredictedNs: n.PredictedNs, ActualNs: n.TimeNs,
-			EstRows: n.EstRows, Rows: n.Rows,
-			Margin: n.Margin, NearMargin: n.NearMargin,
-			Delta1: n.Delta1, Delta2: n.Delta2,
-		})
-		opt.ObserveNode(n.Strategy, n.PredictedNs, float64(n.TimeNs))
-	})
-	sheet.Record(fingerprint, nodes)
 }

@@ -63,6 +63,12 @@ func DefaultQuerySuite() []string {
 // scales with the shared -scale flag.
 func QueryBenchCatalog(scale float64) *catalog.Catalog {
 	cat := catalog.New()
+	registerQueryBench(cat, scale)
+	return cat
+}
+
+// registerQueryBench registers the QueryBenchCatalog relations into cat.
+func registerQueryBench(cat *catalog.Catalog, scale float64) {
 	n := int(float64(6000) * scale)
 	if n < 200 {
 		n = 200
@@ -75,7 +81,6 @@ func QueryBenchCatalog(scale float64) *catalog.Catalog {
 			panic(err)
 		}
 	}
-	return cat
 }
 
 // queryBudget bounds the per-query measurement time.

@@ -2,11 +2,10 @@ package matrix
 
 import "sync"
 
-// Per-worker scratch recycling for the streaming kernels. ForEachRowProduct
-// and SpGEMMCounts are invoked once per engine chunk (star join groups, BSI
-// batches, SSJ probes); pooling the count/accumulator buffers makes a warm
-// steady state allocate nothing per call, which the zero-alloc tests in
-// diff_test.go pin down.
+// Per-worker scratch recycling for the streaming kernel. ForEachRowProduct
+// is invoked once per engine chunk (star join groups); pooling the count
+// buffers makes a warm steady state allocate nothing per call, which the
+// zero-alloc test in diff_test.go pins down.
 
 // int32Pool recycles the per-worker count blocks of ForEachRowProduct.
 var int32Pool = sync.Pool{New: func() any { return new([]int32) }}
@@ -21,60 +20,3 @@ func getInt32Scratch(n int) *[]int32 {
 }
 
 func putInt32Scratch(p *[]int32) { int32Pool.Put(p) }
-
-// spgemmScratch is the per-worker state of SpGEMMCounts: the dense
-// accumulator plus the cols/counts output buffers. Invariant: every entry of
-// acc[:cap] is zero while the scratch sits in the pool — the harvest step
-// re-zeroes exactly the entries it touched, and entries beyond the current
-// length were either never written or zeroed by an earlier, longer use.
-type spgemmScratch struct {
-	acc    []int32
-	cols   []int32
-	counts []int32
-}
-
-var spgemmPool = sync.Pool{New: func() any { return new(spgemmScratch) }}
-
-func getSpGEMMScratch(cols int) *spgemmScratch {
-	s := spgemmPool.Get().(*spgemmScratch)
-	if cap(s.acc) < cols {
-		s.acc = make([]int32, cols)
-	} else {
-		s.acc = s.acc[:cols]
-	}
-	if cap(s.cols) < cols {
-		s.cols = make([]int32, 0, cols)
-		s.counts = make([]int32, 0, cols)
-	}
-	return s
-}
-
-func putSpGEMMScratch(s *spgemmScratch) { spgemmPool.Put(s) }
-
-// m4rScratch bundles the Four-Russians buffers — the multi-MB flat lookup
-// table and the small column-transpose scratch — so one pool entry always
-// carries both and a large table is never evicted to serve a small request
-// (size-class mixing a single shared pool would allow).
-type m4rScratch struct {
-	flat []uint64
-	col  []uint64
-}
-
-var m4rPool = sync.Pool{New: func() any { return new(m4rScratch) }}
-
-func getM4RScratch(flatLen, colLen int) *m4rScratch {
-	s := m4rPool.Get().(*m4rScratch)
-	if cap(s.flat) < flatLen {
-		s.flat = make([]uint64, flatLen)
-	} else {
-		s.flat = s.flat[:flatLen]
-	}
-	if cap(s.col) < colLen {
-		s.col = make([]uint64, colLen)
-	} else {
-		s.col = s.col[:colLen]
-	}
-	return s
-}
-
-func putM4RScratch(s *m4rScratch) { m4rPool.Put(s) }

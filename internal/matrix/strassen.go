@@ -1,7 +1,5 @@
 package matrix
 
-import "repro/internal/par"
-
 // DefaultStrassenCutoff is the square dimension below which Strassen
 // recursion hands off to the blocked classical kernel. Below this size the
 // seven-multiplications saving is dominated by the O(n²) additions.
@@ -141,18 +139,5 @@ func strassenSquare(a, b *Int32, cutoff int) *Int32 {
 			c22[j] = r1[j] - r2[j] + r3[j] + r6[j]
 		}
 	}
-	return c
-}
-
-// MulParallel computes a×b by partitioning the rows of a across workers;
-// each stripe is an independent blocked multiply, mirroring the
-// coordination-free parallelism the paper credits for Figure 3b's
-// near-linear scaling.
-func MulParallel(a, b *Int32, workers int) *Int32 {
-	checkMulShapes(a, b)
-	c := NewInt32(a.Rows, b.Cols)
-	par.ForChunks(a.Rows, workers, func(lo, hi int) {
-		mulBlockedInto(c, a, b, lo, hi)
-	})
 	return c
 }

@@ -26,7 +26,6 @@ import (
 	"repro/internal/joinproject"
 	"repro/internal/matrix"
 	"repro/internal/relation"
-	"repro/internal/sketch"
 )
 
 // WCOJFallbackFactor is the Algorithm-3 guard: if |OUT⋈| ≤ factor·N the
@@ -298,31 +297,7 @@ func wcojPlanCost(c Constants, outJoin, n int64, domZ int) float64 {
 // Choose runs Algorithm 3 for the 2-path instance (r, s) on the given
 // number of cores, using the Section-5 geometric-mean estimate of |OUT|.
 func (o *Optimizer) Choose(r, s *relation.Relation, cores int) Decision {
-	return o.chooseWithEstimate(r, s, cores, joinproject.EstimateOutputSize(r, s))
-}
-
-// ChooseWithSketch runs Algorithm 3 with the estimate |OUT| refined by a
-// HyperLogLog pass over the full join (the Section-9 refinement), provided
-// the full join is small enough to afford the scan (≤ sketchBudget tuples).
-// Falls back to the geometric-mean estimate otherwise.
-func (o *Optimizer) ChooseWithSketch(r, s *relation.Relation, cores int, sketchBudget int64) Decision {
-	dec := o.Choose(r, s, cores)
-	if dec.UseWCOJ || dec.OutJoin > sketchBudget {
-		return dec
-	}
-	est := int64(sketch.EstimateJoinProjectHLL(r, s, 12))
-	if est < 1 {
-		return dec
-	}
-	// Re-run the descent with the refined estimate.
-	refined := o.chooseWithEstimate(r, s, cores, est)
-	refined.EstOut = est
-	return refined
-}
-
-// chooseWithEstimate is the Algorithm-3 descent with an externally supplied
-// |OUT| estimate.
-func (o *Optimizer) chooseWithEstimate(r, s *relation.Relation, cores int, estOut int64) Decision {
+	estOut := joinproject.EstimateOutputSize(r, s)
 	outJoin := relation.FullJoinSize(r, s)
 	n := int64(r.Size())
 	if int64(s.Size()) > n {

@@ -214,33 +214,6 @@ func TestCostMonotoneInHeavyCount(t *testing.T) {
 	}
 }
 
-func TestChooseWithSketch(t *testing.T) {
-	r, _ := dataset.ByName("Image", 0.4)
-	o := New()
-	base := o.Choose(r, r, 1)
-	refined := o.ChooseWithSketch(r, r, 1, 1<<30)
-	if refined.UseWCOJ != base.UseWCOJ {
-		t.Fatalf("sketch refinement flipped the WCOJ decision")
-	}
-	if !refined.UseWCOJ {
-		if refined.Delta1 < 1 || refined.Delta2 < 1 {
-			t.Fatalf("refined thresholds (%d, %d) invalid", refined.Delta1, refined.Delta2)
-		}
-		// The HLL estimate must be within a small factor of the true output
-		// size (computed exactly here).
-		exact := int64(len(joinproject.TwoPathMM(r, r, joinproject.Options{})))
-		ratio := float64(refined.EstOut) / float64(exact)
-		if ratio < 0.8 || ratio > 1.25 {
-			t.Fatalf("sketch estimate %d vs exact %d (ratio %.2f)", refined.EstOut, exact, ratio)
-		}
-	}
-	// A zero budget must leave the decision untouched.
-	same := o.ChooseWithSketch(r, r, 1, 0)
-	if same.EstOut != base.EstOut {
-		t.Fatal("budget 0 should not refine the estimate")
-	}
-}
-
 // Property: the cdf structure answers arbitrary queries consistently with a
 // brute-force filter.
 func TestQuickCDF(t *testing.T) {

@@ -84,7 +84,7 @@ func (s *Server) handlePlanner(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	rows := s.eng.PlannerStats().Snapshot(sortBy, limit)
+	rows := s.eng.StatementStats().PlannerSnapshot(sortBy, limit)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"role":         s.role(),
 		"sort":         orDefault(sortBy, stats.PlannerSortScore),
@@ -98,8 +98,7 @@ func (s *Server) handlePlanner(w http.ResponseWriter, r *http.Request) {
 // planner-accuracy aggregate and start fresh sheets. Cumulative /metrics
 // counters are unaffected.
 func (s *Server) handleStatsReset(w http.ResponseWriter, r *http.Request) {
-	n := s.eng.StatementStats().Reset()
-	np := s.eng.PlannerStats().Reset()
+	n, np := s.eng.StatementStats().Reset()
 	writeJSON(w, http.StatusOK, map[string]any{"reset": true, "dropped": n, "dropped_planner": np})
 }
 

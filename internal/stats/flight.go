@@ -72,16 +72,16 @@ func NewFlight(size, sample int, slow time.Duration) *Flight {
 // SlowThreshold returns the always-retain latency threshold.
 func (f *Flight) SlowThreshold() time.Duration { return f.slow }
 
-// Record offers one completed query to the recorder. plan is called only if
-// the record is retained (rendering an analyzed plan tree costs allocations
-// the sampled-out majority should not pay); nil means no plan. It reports
-// whether the record was kept.
-func (f *Flight) Record(rec FlightRecord, plan func() string) bool {
+// Record offers one completed query to the recorder. The flight record is
+// built, and o.Plan called, only if the query is retained (rendering an
+// analyzed plan tree costs allocations the sampled-out majority should not
+// pay). It reports whether the record was kept.
+func (f *Flight) Record(o Observation) bool {
 	class := ""
 	switch {
-	case rec.Outcome != OutcomeOK:
-		class = string(rec.Outcome)
-	case time.Duration(rec.ElapsedMs*1e6) >= f.slow:
+	case o.Outcome != OutcomeOK:
+		class = string(o.Outcome)
+	case o.Elapsed >= f.slow:
 		class = "slow"
 	}
 
@@ -100,10 +100,24 @@ func (f *Flight) Record(rec FlightRecord, plan func() string) bool {
 		class = "sampled"
 	}
 	f.seq++
-	rec.Seq = f.seq
-	rec.Class = class
-	if plan != nil {
-		rec.Plan = plan()
+	rec := FlightRecord{
+		Seq:         f.seq,
+		RequestID:   o.RequestID,
+		Fingerprint: o.Fingerprint,
+		Query:       o.Text,
+		Outcome:     o.Outcome,
+		Class:       class,
+		StartUnix:   o.Start.UnixMilli(),
+		ElapsedMs:   float64(o.Elapsed.Nanoseconds()) / 1e6,
+		Rows:        o.Rows,
+		Bytes:       o.Bytes,
+		CacheHit:    o.CacheHit,
+	}
+	if o.Err != nil {
+		rec.Error = o.Err.Error()
+	}
+	if o.Plan != nil {
+		rec.Plan = o.Plan()
 	}
 	f.ring[f.next] = rec
 	f.next = (f.next + 1) % len(f.ring)

@@ -2,17 +2,15 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strconv"
-	"sync"
-	"time"
 )
 
-// Planner-accuracy registry: the per-fingerprint predicted-vs-actual sheet
-// behind GET /stats/planner. The executor reports every audited plan node —
-// one the optimizer priced — after a query completes; the registry folds the
-// cost- and cardinality-error ratios into per-strategy aggregates, keeps a
-// short decision history per fingerprint, and ranks fingerprints by a
+// Planner-accuracy sheet: the per-fingerprint predicted-vs-actual aggregate
+// behind GET /stats/planner, kept beside the statement aggregate in the
+// Statements registry. A completed query's Observation carries every
+// audited plan node — one the optimizer priced; the sheet folds the cost-
+// and cardinality-error ratios into per-strategy aggregates, keeps a short
+// decision history per fingerprint, and ranks fingerprints by a
 // call-weighted misprediction score so the worst-modeled statements surface
 // first.
 
@@ -109,7 +107,8 @@ type StrategyErrors struct {
 	CostErrHist map[string]uint64 `json:"cost_err_hist,omitempty"`
 }
 
-// plannerRow is the mutable per-fingerprint aggregate.
+// plannerRow is the mutable per-fingerprint planner aggregate, guarded by
+// the registry mutex.
 type plannerRow struct {
 	calls      uint64
 	nodes      uint64
@@ -146,52 +145,14 @@ type PlannerRow struct {
 	LastUnixMs int64            `json:"last_unix_ms"`
 }
 
-// Planner is the per-fingerprint planner-accuracy registry. The zero value
-// is not usable; use NewPlanner. All methods are safe for concurrent use.
-type Planner struct {
-	mu   sync.Mutex
-	max  int
-	rows map[string]*plannerRow
-}
-
-// NewPlanner returns a registry tracking at most max distinct fingerprints
-// (0 or negative: DefaultMaxStatements), with overflow folded into the
-// overflow bucket like the statement sheet.
-func NewPlanner(max int) *Planner {
-	if max <= 0 {
-		max = DefaultMaxStatements
-	}
-	return &Planner{max: max, rows: make(map[string]*plannerRow)}
-}
-
-// Record folds one query's audited plan nodes into the fingerprint's
-// aggregate. No-op when nodes is empty (queries whose plans the optimizer
-// never priced carry no accuracy signal).
-func (p *Planner) Record(fingerprint string, nodes []NodeObservation) {
-	if len(nodes) == 0 {
-		return
-	}
-	if fingerprint == "" {
-		fingerprint = InvalidFingerprint
-	}
-	p.mu.Lock()
-	r, ok := p.rows[fingerprint]
-	if !ok {
-		if len(p.rows) >= p.max && fingerprint != OverflowFingerprint && fingerprint != InvalidFingerprint {
-			p.mu.Unlock()
-			p.Record(OverflowFingerprint, nodes)
-			return
-		}
-		r = &plannerRow{byStrategy: make(map[string]*strategyAgg)}
-		p.rows[fingerprint] = r
-	}
+// add folds one query's audited plan nodes into the aggregate.
+func (r *plannerRow) add(nodes []NodeObservation, nowMs int64) {
 	r.calls++
 	for _, n := range nodes {
 		r.nodes++
 		if n.NearMargin {
 			r.nearMargin++
 		}
-		plannerNodes.With(orDefaultStrategy(n.Strategy)).Inc()
 		agg := r.byStrategy[n.Strategy]
 		if agg == nil {
 			agg = &strategyAgg{}
@@ -226,8 +187,7 @@ func (p *Planner) Record(fingerprint string, nodes []NodeObservation) {
 			r.histLen++
 		}
 	}
-	r.lastUnixMs = time.Now().UnixMilli()
-	p.mu.Unlock()
+	r.lastUnixMs = nowMs
 }
 
 func orDefaultStrategy(s string) string {
@@ -237,16 +197,7 @@ func orDefaultStrategy(s string) string {
 	return s
 }
 
-// Reset drops every aggregate, returning how many fingerprints were dropped.
-func (p *Planner) Reset() int {
-	p.mu.Lock()
-	n := len(p.rows)
-	p.rows = make(map[string]*plannerRow)
-	p.mu.Unlock()
-	return n
-}
-
-// Sort keys Planner.Snapshot accepts.
+// Sort keys PlannerSnapshot accepts.
 const (
 	PlannerSortScore      = "score"
 	PlannerSortCalls      = "calls"
@@ -263,13 +214,18 @@ func bucketLabel(i int) string {
 	return strconv.FormatFloat(RatioBuckets[i], 'g', -1, 64)
 }
 
-// Snapshot returns the current aggregates, sorted descending by the given
-// key (unknown or empty: score) and truncated to limit rows (0 or negative:
+// PlannerSnapshot returns the planner-accuracy aggregates of fingerprints
+// that carried optimizer-priced nodes, sorted descending by the given key
+// (unknown or empty: score) and truncated to limit rows (0 or negative:
 // all). Decision histories come back newest first.
-func (p *Planner) Snapshot(sortBy string, limit int) []PlannerRow {
-	p.mu.Lock()
-	out := make([]PlannerRow, 0, len(p.rows))
-	for fp, r := range p.rows {
+func (s *Statements) PlannerSnapshot(sortBy string, limit int) []PlannerRow {
+	s.mu.Lock()
+	out := make([]PlannerRow, 0, len(s.rows))
+	for fp, e := range s.rows {
+		r := e.plan
+		if r == nil {
+			continue
+		}
 		pr := PlannerRow{
 			Fingerprint: fp,
 			Calls:       r.calls,
@@ -315,9 +271,9 @@ func (p *Planner) Snapshot(sortBy string, limit int) []PlannerRow {
 		}
 		out = append(out, pr)
 	}
-	p.mu.Unlock()
+	s.mu.Unlock()
 
-	key := func(r PlannerRow) float64 {
+	return rank(out, limit, func(r PlannerRow) string { return r.Fingerprint }, func(r PlannerRow) float64 {
 		switch sortBy {
 		case PlannerSortCalls:
 			return float64(r.Calls)
@@ -333,16 +289,5 @@ func (p *Planner) Snapshot(sortBy string, limit int) []PlannerRow {
 		default:
 			return r.Score
 		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ki, kj := key(out[i]), key(out[j])
-		if ki != kj {
-			return ki > kj
-		}
-		return out[i].Fingerprint < out[j].Fingerprint
 	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }

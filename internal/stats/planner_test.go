@@ -9,18 +9,24 @@ func obsNode(strategy string, predicted float64, actual int64) NodeObservation {
 	return NodeObservation{Op: "fold", Strategy: strategy, PredictedNs: predicted, ActualNs: actual}
 }
 
+// ok is a successful completion of fingerprint fp with the given audited
+// plan nodes.
+func ok(fp string, nodes ...NodeObservation) Observation {
+	return Observation{Fingerprint: fp, Outcome: OutcomeOK, Nodes: nodes}
+}
+
 func TestPlannerAggregation(t *testing.T) {
-	p := NewPlanner(0)
+	p := NewStatements(0)
 	// Fingerprint A: one accurate mm node, one 4×-slow wcoj node.
-	p.Record("A", []NodeObservation{
+	p.Record(ok("A",
 		obsNode("mm", 1e6, 1e6),
 		obsNode("wcoj", 1e6, 4e6),
-	})
+	))
 	// Fingerprint B: called twice, mildly off.
-	p.Record("B", []NodeObservation{obsNode("mm", 1e6, 2e6)})
-	p.Record("B", []NodeObservation{obsNode("mm", 1e6, 2e6)})
+	p.Record(ok("B", obsNode("mm", 1e6, 2e6)))
+	p.Record(ok("B", obsNode("mm", 1e6, 2e6)))
 
-	rows := p.Snapshot("", 0)
+	rows := p.PlannerSnapshot("", 0)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -57,32 +63,32 @@ func TestPlannerAggregation(t *testing.T) {
 	}
 
 	// Sort by calls puts B first.
-	rows = p.Snapshot(PlannerSortCalls, 0)
+	rows = p.PlannerSnapshot(PlannerSortCalls, 0)
 	if rows[0].Fingerprint != "B" {
 		t.Errorf("sort=calls: first = %s, want B", rows[0].Fingerprint)
 	}
 	// Limit truncates.
-	if got := len(p.Snapshot("", 1)); got != 1 {
+	if got := len(p.PlannerSnapshot("", 1)); got != 1 {
 		t.Errorf("limit=1 returned %d rows", got)
 	}
 
-	if n := p.Reset(); n != 2 {
-		t.Errorf("Reset dropped %d, want 2", n)
+	if _, n := p.Reset(); n != 2 {
+		t.Errorf("Reset dropped %d planner rows, want 2", n)
 	}
-	if got := len(p.Snapshot("", 0)); got != 0 {
+	if got := len(p.PlannerSnapshot("", 0)); got != 0 {
 		t.Errorf("%d rows after reset", got)
 	}
 }
 
 func TestPlannerDecisionHistoryRing(t *testing.T) {
-	p := NewPlanner(0)
+	p := NewStatements(0)
 	for i := 1; i <= decisionHistory+3; i++ {
-		p.Record("Q", []NodeObservation{{
+		p.Record(ok("Q", NodeObservation{
 			Op: "fold", Strategy: "mm", Margin: float64(i),
 			PredictedNs: 1e6, ActualNs: 1e6,
-		}})
+		}))
 	}
-	rows := p.Snapshot("", 0)
+	rows := p.PlannerSnapshot("", 0)
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -100,11 +106,11 @@ func TestPlannerDecisionHistoryRing(t *testing.T) {
 }
 
 func TestPlannerOverflowAndEmpty(t *testing.T) {
-	p := NewPlanner(2)
-	p.Record("A", []NodeObservation{obsNode("mm", 1e6, 1e6)})
-	p.Record("B", []NodeObservation{obsNode("mm", 1e6, 1e6)})
-	p.Record("C", []NodeObservation{obsNode("mm", 1e6, 1e6)})
-	rows := p.Snapshot("", 0)
+	p := NewStatements(2)
+	p.Record(ok("A", obsNode("mm", 1e6, 1e6)))
+	p.Record(ok("B", obsNode("mm", 1e6, 1e6)))
+	p.Record(ok("C", obsNode("mm", 1e6, 1e6)))
+	rows := p.PlannerSnapshot("", 0)
 	fps := map[string]bool{}
 	for _, r := range rows {
 		fps[r.Fingerprint] = true
@@ -117,8 +123,8 @@ func TestPlannerOverflowAndEmpty(t *testing.T) {
 	}
 	// Empty node lists carry no signal and create no row.
 	p.Reset()
-	p.Record("D", nil)
-	if got := len(p.Snapshot("", 0)); got != 0 {
+	p.Record(ok("D"))
+	if got := len(p.PlannerSnapshot("", 0)); got != 0 {
 		t.Errorf("empty observation created %d rows", got)
 	}
 }

@@ -1,11 +1,13 @@
 // Package stats is the workload-introspection layer: per-fingerprint
-// statement statistics, a live registry of in-flight queries with external
-// kill, and a flight recorder retaining traces of recently completed
-// queries. It sits between the executor (which reports per-node progress)
-// and the HTTP surfaces /stats/statements, /stats/activity and
-// /debug/flight; internal/core owns the instances and wires them into the
-// single evaluation path, so every query — HTTP, embedded, primary or
-// replica — is attributed identically.
+// statement and planner-accuracy statistics, a live registry of in-flight
+// queries with external kill, and a flight recorder retaining traces of
+// recently completed queries. It sits between the executor (which reports
+// per-node progress) and the HTTP surfaces /stats/statements,
+// /stats/planner, /stats/activity and /debug/flight; internal/core owns the
+// instances and wires them into the single evaluation path, so every query
+// — HTTP, embedded, primary or replica — is attributed identically. Each
+// completed query is described once, by an Observation, and every sink
+// reads that one record.
 //
 // The package imports only internal/obs and the standard library: it must be
 // linkable from the executor without dependency cycles, and its hot-path
@@ -40,21 +42,32 @@ const (
 	InvalidFingerprint  = "<invalid>"
 )
 
-// Observation is one completed (or shed) query evaluation as the engine
-// reports it to the statement-stats registry.
+// Observation is one completed (or shed) query evaluation: the single
+// record the engine builds on each exit path and feeds to the statement
+// registry and the flight recorder.
 type Observation struct {
-	Outcome  Outcome
-	Elapsed  time.Duration
-	Rows     int64
-	Bytes    int64 // budget bytes charged during evaluation
-	CacheHit bool  // plan served from the plan cache
+	Fingerprint string
+	Text        string
+	RequestID   string
+	Start       time.Time
+	Outcome     Outcome
+	Elapsed     time.Duration
+	Rows        int64
+	Bytes       int64 // budget bytes charged during evaluation
+	CacheHit    bool  // plan served from the plan cache
 	// Strategies is the per-plan-node strategy breakdown in tree order, e.g.
 	// ["fold=mm", "star=nonmm"] (Plan.Strategies form).
 	Strategies []string
+	// Nodes are the executed plan's optimizer-priced nodes; empty when the
+	// query produced no plan or the optimizer priced none of it.
+	Nodes []NodeObservation
+	Err   error
+	// Plan lazily renders the analyzed plan tree; nil when no plan ran.
+	Plan func() string
 }
 
-// row is the mutable per-fingerprint aggregate. All fields are guarded by
-// the registry mutex.
+// row is the mutable per-fingerprint statement aggregate. All fields are
+// guarded by the registry mutex.
 type row struct {
 	calls       uint64
 	ok          uint64
@@ -74,79 +87,7 @@ type row struct {
 	lastUnixMs  int64
 }
 
-// StatementRow is one fingerprint's aggregate as /stats/statements serves
-// it.
-type StatementRow struct {
-	Fingerprint string  `json:"fingerprint"`
-	Calls       uint64  `json:"calls"`
-	OK          uint64  `json:"ok"`
-	Errors      uint64  `json:"errors"`
-	BudgetTrips uint64  `json:"budget_trips"`
-	Killed      uint64  `json:"killed"`
-	Timeouts    uint64  `json:"timeouts"`
-	Canceled    uint64  `json:"canceled"`
-	Shed        uint64  `json:"shed"`
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheHitPct float64 `json:"cache_hit_pct"`
-	TotalMs     float64 `json:"total_ms"`
-	MeanMs      float64 `json:"mean_ms"`
-	MaxMs       float64 `json:"max_ms"`
-	Rows        int64   `json:"rows"`
-	MaxRows     int64   `json:"max_rows"`
-	BudgetBytes int64   `json:"budget_bytes"`
-	// Strategies is the per-plan-node strategy breakdown, keyed by the plan
-	// node's "op=strategy" form, valued by how many calls ran that choice.
-	Strategies map[string]uint64 `json:"strategies,omitempty"`
-	LastUnixMs int64             `json:"last_unix_ms"`
-}
-
-// Statements is the per-fingerprint statement-statistics registry. The zero
-// value is not usable; use NewStatements. All methods are safe for
-// concurrent use.
-type Statements struct {
-	mu   sync.Mutex
-	max  int
-	rows map[string]*row
-}
-
-// DefaultMaxStatements caps distinct fingerprints tracked before new ones
-// fold into the overflow bucket.
-const DefaultMaxStatements = 512
-
-// NewStatements returns a registry tracking at most max distinct
-// fingerprints (0 or negative: DefaultMaxStatements).
-func NewStatements(max int) *Statements {
-	if max <= 0 {
-		max = DefaultMaxStatements
-	}
-	return &Statements{max: max, rows: make(map[string]*row)}
-}
-
-// Record folds one observation into the fingerprint's aggregate. Empty
-// fingerprints (unparseable statements) land in the invalid bucket;
-// fingerprints past the cap land in the overflow bucket.
-func (s *Statements) Record(fingerprint string, o Observation) {
-	if fingerprint == "" {
-		fingerprint = InvalidFingerprint
-	}
-	stmtObservations.With(string(o.Outcome)).Inc()
-	s.record(fingerprint, o)
-}
-
-func (s *Statements) record(fingerprint string, o Observation) {
-	s.mu.Lock()
-	r, ok := s.rows[fingerprint]
-	if !ok {
-		if len(s.rows) >= s.max && fingerprint != OverflowFingerprint && fingerprint != InvalidFingerprint {
-			s.mu.Unlock()
-			stmtOverflow.Inc()
-			s.record(OverflowFingerprint, o)
-			return
-		}
-		r = &row{}
-		s.rows[fingerprint] = r
-		stmtFingerprints.Set(float64(len(s.rows)))
-	}
+func (r *row) add(o *Observation, nowMs int64) {
 	r.calls++
 	switch o.Outcome {
 	case OutcomeOK:
@@ -185,26 +126,117 @@ func (s *Statements) record(fingerprint string, o Observation) {
 			r.strategies[st]++
 		}
 	}
-	r.lastUnixMs = time.Now().UnixMilli()
+	r.lastUnixMs = nowMs
+}
+
+// StatementRow is one fingerprint's aggregate as /stats/statements serves
+// it.
+type StatementRow struct {
+	Fingerprint string  `json:"fingerprint"`
+	Calls       uint64  `json:"calls"`
+	OK          uint64  `json:"ok"`
+	Errors      uint64  `json:"errors"`
+	BudgetTrips uint64  `json:"budget_trips"`
+	Killed      uint64  `json:"killed"`
+	Timeouts    uint64  `json:"timeouts"`
+	Canceled    uint64  `json:"canceled"`
+	Shed        uint64  `json:"shed"`
+	CacheHits   uint64  `json:"cache_hits"`
+	CacheHitPct float64 `json:"cache_hit_pct"`
+	TotalMs     float64 `json:"total_ms"`
+	MeanMs      float64 `json:"mean_ms"`
+	MaxMs       float64 `json:"max_ms"`
+	Rows        int64   `json:"rows"`
+	MaxRows     int64   `json:"max_rows"`
+	BudgetBytes int64   `json:"budget_bytes"`
+	// Strategies is the per-plan-node strategy breakdown, keyed by the plan
+	// node's "op=strategy" form, valued by how many calls ran that choice.
+	Strategies map[string]uint64 `json:"strategies,omitempty"`
+	LastUnixMs int64             `json:"last_unix_ms"`
+}
+
+// entry is one fingerprint's aggregates: the statement row always, the
+// planner row once a completion carried optimizer-priced nodes.
+type entry struct {
+	stmt row
+	plan *plannerRow
+}
+
+// Statements is the per-fingerprint registry behind /stats/statements and
+// /stats/planner: one map, one lock, one fingerprint cap and one Reset for
+// both sheets. The zero value is not usable; use NewStatements. All methods
+// are safe for concurrent use.
+type Statements struct {
+	mu   sync.Mutex
+	max  int
+	rows map[string]*entry
+}
+
+// DefaultMaxStatements caps distinct fingerprints tracked before new ones
+// fold into the overflow bucket.
+const DefaultMaxStatements = 512
+
+// NewStatements returns a registry tracking at most max distinct
+// fingerprints (0 or negative: DefaultMaxStatements).
+func NewStatements(max int) *Statements {
+	if max <= 0 {
+		max = DefaultMaxStatements
+	}
+	return &Statements{max: max, rows: make(map[string]*entry)}
+}
+
+// Record folds one observation into its fingerprint's statement aggregate
+// and, when it carries optimizer-priced nodes, into the planner aggregate.
+// Empty fingerprints (unparseable statements) land in the invalid bucket;
+// fingerprints past the cap land in the overflow bucket of both sheets.
+func (s *Statements) Record(o Observation) {
+	fp := o.Fingerprint
+	if fp == "" {
+		fp = InvalidFingerprint
+	}
+	stmtObservations.With(string(o.Outcome)).Inc()
+	for _, n := range o.Nodes {
+		plannerNodes.With(orDefaultStrategy(n.Strategy)).Inc()
+	}
+	now := time.Now().UnixMilli()
+	s.mu.Lock()
+	e := s.rows[fp]
+	if e == nil && len(s.rows) >= s.max && fp != OverflowFingerprint && fp != InvalidFingerprint {
+		stmtOverflow.Inc()
+		fp = OverflowFingerprint
+		e = s.rows[fp]
+	}
+	if e == nil {
+		e = &entry{}
+		s.rows[fp] = e
+		stmtFingerprints.Set(float64(len(s.rows)))
+	}
+	e.stmt.add(&o, now)
+	if len(o.Nodes) > 0 {
+		if e.plan == nil {
+			e.plan = &plannerRow{byStrategy: make(map[string]*strategyAgg)}
+		}
+		e.plan.add(o.Nodes, now)
+	}
 	s.mu.Unlock()
 }
 
-// RecordShed counts an admission-control rejection: the statement arrived
-// but never ran, so only the call/shed counters move.
-func (s *Statements) RecordShed(fingerprint string) {
-	s.Record(fingerprint, Observation{Outcome: OutcomeShed})
-}
-
-// Reset drops every aggregate. The sheet starts clean; process-wide
-// counters in /metrics are unaffected (they are cumulative by contract).
-func (s *Statements) Reset() int {
+// Reset drops every aggregate of both sheets, returning how many statement
+// and planner fingerprints were dropped. Process-wide counters in /metrics
+// are unaffected (they are cumulative by contract).
+func (s *Statements) Reset() (statements, planner int) {
 	s.mu.Lock()
-	n := len(s.rows)
-	s.rows = make(map[string]*row)
+	statements = len(s.rows)
+	for _, e := range s.rows {
+		if e.plan != nil {
+			planner++
+		}
+	}
+	s.rows = make(map[string]*entry)
 	stmtFingerprints.Set(0)
 	s.mu.Unlock()
 	stmtResets.Inc()
-	return n
+	return statements, planner
 }
 
 // Sort keys Snapshot accepts.
@@ -217,13 +249,14 @@ const (
 	SortErrors  = "errors"
 )
 
-// Snapshot returns the current aggregates, sorted descending by the given
+// Snapshot returns the statement aggregates, sorted descending by the given
 // key (unknown or empty: total_ms) and truncated to limit rows (0 or
 // negative: all).
 func (s *Statements) Snapshot(sortBy string, limit int) []StatementRow {
 	s.mu.Lock()
 	out := make([]StatementRow, 0, len(s.rows))
-	for fp, r := range s.rows {
+	for fp, e := range s.rows {
+		r := &e.stmt
 		executed := r.calls - r.shed
 		sr := StatementRow{
 			Fingerprint: fp,
@@ -257,7 +290,7 @@ func (s *Statements) Snapshot(sortBy string, limit int) []StatementRow {
 	}
 	s.mu.Unlock()
 
-	key := func(r StatementRow) float64 {
+	return rank(out, limit, func(r StatementRow) string { return r.Fingerprint }, func(r StatementRow) float64 {
 		switch sortBy {
 		case SortCalls:
 			return float64(r.Calls)
@@ -272,16 +305,21 @@ func (s *Statements) Snapshot(sortBy string, limit int) []StatementRow {
 		default:
 			return r.TotalMs
 		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ki, kj := key(out[i]), key(out[j])
+	})
+}
+
+// rank sorts rows descending by key, ties broken by fingerprint, and
+// truncates to limit rows (0 or negative: all).
+func rank[T any](rows []T, limit int, fp func(T) string, key func(T) float64) []T {
+	sort.SliceStable(rows, func(i, j int) bool {
+		ki, kj := key(rows[i]), key(rows[j])
 		if ki != kj {
 			return ki > kj
 		}
-		return out[i].Fingerprint < out[j].Fingerprint
+		return fp(rows[i]) < fp(rows[j])
 	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
 	}
-	return out
+	return rows
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,9 +10,9 @@ import (
 
 func TestStatementsAggregateAndSort(t *testing.T) {
 	s := NewStatements(0)
-	s.Record("Q($0) :- R($0, ?)", Observation{Outcome: OutcomeOK, Elapsed: 2 * time.Millisecond, Rows: 10, CacheHit: false, Strategies: []string{"fold=mm"}})
-	s.Record("Q($0) :- R($0, ?)", Observation{Outcome: OutcomeOK, Elapsed: 4 * time.Millisecond, Rows: 30, CacheHit: true, Strategies: []string{"fold=mm"}})
-	s.Record("Q($0) :- S($0, ?)", Observation{Outcome: OutcomeBudget, Elapsed: 50 * time.Millisecond})
+	s.Record(Observation{Fingerprint: "Q($0) :- R($0, ?)", Outcome: OutcomeOK, Elapsed: 2 * time.Millisecond, Rows: 10, CacheHit: false, Strategies: []string{"fold=mm"}})
+	s.Record(Observation{Fingerprint: "Q($0) :- R($0, ?)", Outcome: OutcomeOK, Elapsed: 4 * time.Millisecond, Rows: 30, CacheHit: true, Strategies: []string{"fold=mm"}})
+	s.Record(Observation{Fingerprint: "Q($0) :- S($0, ?)", Outcome: OutcomeBudget, Elapsed: 50 * time.Millisecond})
 
 	rows := s.Snapshot(SortCalls, 0)
 	if len(rows) != 2 {
@@ -42,7 +43,7 @@ func TestStatementsAggregateAndSort(t *testing.T) {
 		t.Fatalf("top row by total_ms: %+v", rows[0])
 	}
 
-	if n := s.Reset(); n != 2 {
+	if n, _ := s.Reset(); n != 2 {
 		t.Fatalf("reset dropped %d rows, want 2", n)
 	}
 	if rows := s.Snapshot("", 0); len(rows) != 0 {
@@ -52,10 +53,10 @@ func TestStatementsAggregateAndSort(t *testing.T) {
 
 func TestStatementsOverflowAndInvalid(t *testing.T) {
 	s := NewStatements(2)
-	s.Record("a", Observation{Outcome: OutcomeOK})
-	s.Record("b", Observation{Outcome: OutcomeOK})
-	s.Record("c", Observation{Outcome: OutcomeOK}) // past the cap
-	s.Record("", Observation{Outcome: OutcomeError})
+	s.Record(Observation{Fingerprint: "a", Outcome: OutcomeOK})
+	s.Record(Observation{Fingerprint: "b", Outcome: OutcomeOK})
+	s.Record(Observation{Fingerprint: "c", Outcome: OutcomeOK}) // past the cap
+	s.Record(Observation{Fingerprint: "", Outcome: OutcomeError})
 
 	byFP := map[string]StatementRow{}
 	for _, r := range s.Snapshot("", 0) {
@@ -69,6 +70,80 @@ func TestStatementsOverflowAndInvalid(t *testing.T) {
 	}
 	if byFP[InvalidFingerprint].Errors != 1 {
 		t.Fatalf("no invalid bucket: %v", byFP)
+	}
+}
+
+// TestRegistrySharedSheets checks that one registry keeps both sheets: one
+// observation feeds both, only audited nodes create planner rows, and the
+// cap, the buckets and Reset are shared.
+func TestRegistrySharedSheets(t *testing.T) {
+	s := NewStatements(3)
+	node := NodeObservation{Op: "fold", Strategy: "mm", PredictedNs: 1e6, ActualNs: 2e6}
+	statements := func() map[string]StatementRow {
+		m := map[string]StatementRow{}
+		for _, r := range s.Snapshot("", 0) {
+			m[r.Fingerprint] = r
+		}
+		return m
+	}
+	planner := func() map[string]PlannerRow {
+		m := map[string]PlannerRow{}
+		for _, r := range s.PlannerSnapshot("", 0) {
+			m[r.Fingerprint] = r
+		}
+		return m
+	}
+
+	// One completed query updates both sheets.
+	s.Record(Observation{Fingerprint: "a", Outcome: OutcomeOK, Rows: 7, Nodes: []NodeObservation{node}})
+	if r := statements()["a"]; r.Calls != 1 || r.OK != 1 || r.Rows != 7 {
+		t.Fatalf("statement row after one record: %+v", r)
+	}
+	if r := planner()["a"]; r.Calls != 1 || r.Nodes != 1 || r.Strategies["mm"].Nodes != 1 {
+		t.Fatalf("planner row after one record: %+v", r)
+	}
+
+	// A shed creates a statement row and no planner row.
+	s.Record(Observation{Fingerprint: "b", Outcome: OutcomeShed})
+	if r := statements()["b"]; r.Calls != 1 || r.Shed != 1 {
+		t.Fatalf("shed statement row: %+v", r)
+	}
+	if _, ok := planner()["b"]; ok {
+		t.Fatal("shed created a planner row")
+	}
+
+	// A prepare failure (no fingerprint, no plan) lands in <invalid>.
+	s.Record(Observation{Outcome: OutcomeError, Err: errors.New("parse error")})
+	if r := statements()[InvalidFingerprint]; r.Errors != 1 {
+		t.Fatalf("invalid bucket: %+v", r)
+	}
+	if _, ok := planner()[InvalidFingerprint]; ok {
+		t.Fatal("prepare failure created a planner row")
+	}
+
+	// The cap counts every fingerprint, so a new one overflows both sheets
+	// although the planner sheet holds a single row.
+	s.Record(Observation{Fingerprint: "c", Outcome: OutcomeOK, Nodes: []NodeObservation{node}})
+	if _, ok := statements()["c"]; ok {
+		t.Fatal("fingerprint past the cap got its own statement row")
+	}
+	if r := statements()[OverflowFingerprint]; r.Calls != 1 {
+		t.Fatalf("statement overflow bucket: %+v", r)
+	}
+	if _, ok := planner()["c"]; ok {
+		t.Fatal("fingerprint past the cap got its own planner row")
+	}
+	if r := planner()[OverflowFingerprint]; r.Nodes != 1 {
+		t.Fatalf("planner overflow bucket: %+v", r)
+	}
+
+	// Reset reports both sheets' drops: a, b, <invalid>, <overflow> and the
+	// planner rows of a and <overflow>.
+	if n, np := s.Reset(); n != 4 || np != 2 {
+		t.Fatalf("Reset dropped %d statements, %d planner rows; want 4, 2", n, np)
+	}
+	if len(statements()) != 0 || len(planner()) != 0 {
+		t.Fatal("rows survived Reset")
 	}
 }
 
@@ -114,16 +189,16 @@ func TestFlightRetentionAndSampling(t *testing.T) {
 	// Errors and slow queries always retained; plan rendered lazily.
 	rendered := 0
 	plan := func() string { rendered++; return "plan" }
-	if !f.Record(FlightRecord{Outcome: OutcomeError, ElapsedMs: 0.1, Error: "boom"}, plan) {
+	if !f.Record(Observation{Outcome: OutcomeError, Elapsed: 100 * time.Microsecond, Err: errors.New("boom"), Plan: plan}) {
 		t.Fatal("error dropped")
 	}
-	if !f.Record(FlightRecord{Outcome: OutcomeOK, ElapsedMs: 50}, plan) {
+	if !f.Record(Observation{Outcome: OutcomeOK, Elapsed: 50 * time.Millisecond, Plan: plan}) {
 		t.Fatal("slow dropped")
 	}
 	// Unremarkable: first kept (sampled), next three dropped, fifth kept.
 	keeps := 0
 	for i := 0; i < 5; i++ {
-		if f.Record(FlightRecord{Outcome: OutcomeOK, ElapsedMs: 0.1}, plan) {
+		if f.Record(Observation{Outcome: OutcomeOK, Elapsed: 100 * time.Microsecond, Plan: plan}) {
 			keeps++
 		}
 	}
@@ -158,7 +233,7 @@ func TestFlightRetentionAndSampling(t *testing.T) {
 func TestFlightRingWraps(t *testing.T) {
 	f := NewFlight(4, 1, time.Hour)
 	for i := 0; i < 10; i++ {
-		f.Record(FlightRecord{Outcome: OutcomeError, Error: fmt.Sprintf("e%d", i)}, nil)
+		f.Record(Observation{Outcome: OutcomeError, Err: fmt.Errorf("e%d", i)})
 	}
 	recs := f.Snapshot(0)
 	if len(recs) != 4 {
@@ -193,9 +268,11 @@ func TestConcurrentUse(t *testing.T) {
 				}
 				reg.List()
 				reg.Finish(a)
-				s.Record(fp, Observation{Outcome: OutcomeOK, Elapsed: time.Microsecond, Strategies: []string{"fold=mm"}})
+				s.Record(Observation{Fingerprint: fp, Outcome: OutcomeOK, Elapsed: time.Microsecond, Strategies: []string{"fold=mm"},
+					Nodes: []NodeObservation{{Op: "fold", Strategy: "mm", PredictedNs: 1e3, ActualNs: 2e3}}})
 				s.Snapshot(SortCalls, 4)
-				f.Record(FlightRecord{Fingerprint: fp, Outcome: OutcomeOK}, func() string { return "p" })
+				s.PlannerSnapshot(PlannerSortScore, 4)
+				f.Record(Observation{Fingerprint: fp, Outcome: OutcomeOK, Plan: func() string { return "p" }})
 				f.Snapshot(4)
 			}
 		}(g)

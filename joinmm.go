@@ -97,10 +97,9 @@ const (
 
 // Engine options.
 var (
-	WithWorkers          = core.WithWorkers
-	WithStrategy         = core.WithStrategy
-	WithThresholds       = core.WithThresholds
-	WithSketchRefinement = core.WithSketchRefinement
+	WithWorkers    = core.WithWorkers
+	WithStrategy   = core.WithStrategy
+	WithThresholds = core.WithThresholds
 )
 
 // SimilarPair is an unordered set pair with overlap ≥ c (set similarity).
