@@ -147,14 +147,13 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 
 	// Positional z lists per y, plus the light-z sublists under heavy ys.
 	c.posByY = make([][]int32, ny)
+	carveLists(c.posByY, c.sY)
 	c.lightByY = make([][]int32, ny)
 	par.For(ny, workers, func(i int) {
-		list := c.sY.List(i)
-		pos := make([]int32, len(list))
-		for j, z := range list {
+		pos := c.posByY[i]
+		for j, z := range c.sY.List(i) {
 			pos[j] = int32(c.sX.Pos(z))
 		}
-		c.posByY[i] = pos
 		if c.colOf[i] >= 0 {
 			var light []int32
 			for _, zp := range pos {
@@ -203,13 +202,12 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 	}
 
 	// R-side positional lists into sY.
+	carveLists(c.rYPos, c.rX)
 	par.For(c.rX.NumKeys(), workers, func(i int) {
-		list := c.rX.List(i)
-		pos := make([]int32, len(list))
-		for j, y := range list {
+		pos := c.rYPos[i]
+		for j, y := range c.rX.List(i) {
 			pos[j] = int32(c.sY.Pos(y))
 		}
-		c.rYPos[i] = pos
 	})
 	for i := 0; i < c.rX.NumKeys(); i++ {
 		if c.rX.Degree(i) > d2 {
@@ -217,6 +215,20 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 		}
 	}
 	return c
+}
+
+// carveLists points lists[i] at its own stretch of one new backing array, as
+// long as ix's i-th partner list: one allocation for all of ix's keys.
+func carveLists(lists [][]int32, ix *relation.Index) {
+	n := 0
+	for i := range lists {
+		n += ix.Degree(i)
+	}
+	flat := make([]int32, n)
+	for i := range lists {
+		d := ix.Degree(i)
+		lists[i], flat = flat[:d:d], flat[d:]
+	}
 }
 
 // dedupSortThreshold is the z-domain size above which DedupAuto switches

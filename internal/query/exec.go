@@ -3,7 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,8 +47,11 @@ type ExecObserver interface {
 // the plan that produced them (with the actual per-node strategy choices).
 type Result struct {
 	Columns []string
-	Tuples  [][]int64
-	Plan    *Plan
+	// Tuples may share one backing array, each with cap == len: callers may
+	// reorder the tuples or overwrite values in place, but must not append to
+	// a tuple expecting to grow it in place.
+	Tuples [][]int64
+	Plan   *Plan
 }
 
 // optPlanner adapts the Section-5 cost-based optimizer to the acyclic
@@ -281,9 +284,13 @@ func (ex *executor) run() (*Result, error) {
 	var cols []int
 	rows := [][]int32{{}}
 	if !ex.dry && !p.empty && grouped == nil {
-		for _, pr := range producers {
+		for i, pr := range producers {
 			cols = append(cols, pr.cols...)
-			rows = crossRows(rows, pr.rows)
+			if i == 0 {
+				rows = pr.rows // crossing with the one empty row would only copy
+			} else {
+				rows = crossRows(rows, pr.rows)
+			}
 			if err := ex.charge(len(rows), rowBudgetBytes(len(cols))); err != nil {
 				return nil, err
 			}
@@ -313,13 +320,12 @@ func (ex *executor) run() (*Result, error) {
 	}
 	if grouped != nil {
 		ci := q.CountIndex()
-		res.Tuples = make([][]int64, len(grouped.rows))
+		flat := make([]int64, 2*len(grouped.rows))
 		for i, r := range grouped.rows {
-			row := make([]int64, 2)
-			row[1-ci] = int64(r[0])
-			row[ci] = grouped.counts[i]
-			res.Tuples[i] = row
+			flat[2*i+1-ci] = int64(r[0])
+			flat[2*i+ci] = grouped.counts[i]
 		}
+		res.Tuples = splitTuples(flat, len(grouped.rows), 2)
 	} else {
 		res.Tuples = projectHead(q, p, cols, rows)
 	}
@@ -353,13 +359,15 @@ func headLabels(q *Query) string {
 }
 
 // projectHead maps assembled rows (over the distinct head variables in cols)
-// onto the head-term order, applying the COUNT aggregate when present.
+// onto the head-term order, applying the COUNT aggregate when present. The
+// tuples share one backing array (see Result.Tuples).
 func projectHead(q *Query, p *Prepared, cols []int, rows [][]int32) [][]int64 {
 	colPos := map[int]int{}
 	for i, v := range cols {
 		colPos[v] = i
 	}
-	pos := make([]int, len(q.Head))
+	w := len(q.Head)
+	pos := make([]int, w)
 	for i, h := range q.Head {
 		vi := -1
 		for idx, name := range p.vars {
@@ -373,78 +381,77 @@ func projectHead(q *Query, p *Prepared, cols []int, rows [][]int32) [][]int64 {
 
 	ci := q.CountIndex()
 	if ci < 0 {
-		out := make([][]int64, 0, len(rows))
-		for _, r := range rows {
-			t := make([]int64, len(q.Head))
-			for i := range q.Head {
-				t[i] = int64(r[pos[i]])
+		flat := make([]int64, len(rows)*w)
+		for r, row := range rows {
+			t := flat[r*w : (r+1)*w]
+			for i, pi := range pos {
+				t[i] = int64(row[pi])
 			}
-			out = append(out, t)
 		}
-		return out
+		return splitTuples(flat, len(rows), w)
 	}
 
 	// COUNT(v): rows are distinct over (group vars ∪ {v}), so counting rows
-	// per group yields the distinct-v count.
-	groupPos := make([]int, 0, len(q.Head)-1)
-	for i := range q.Head {
-		if i != ci {
-			groupPos = append(groupPos, pos[i])
-		}
-	}
-	if len(groupPos) == 0 {
+	// per group yields the distinct-v count. Groups are numbered in first-seen
+	// order and laid out as finished tuples, the count column included.
+	if w == 1 {
 		return [][]int64{{int64(len(rows))}}
 	}
-	type group struct {
-		vals  []int32
-		count int64
-	}
-	var order []string
-	groups := map[string]*group{}
+	var flat []int64
+	groups := map[string]int{}
 	var key []byte
-	for _, r := range rows {
+	for _, row := range rows {
 		key = key[:0]
-		vals := make([]int32, len(groupPos))
-		for i, gp := range groupPos {
-			vals[i] = r[gp]
-			key = strconv.AppendInt(key, int64(r[gp]), 10)
-			key = append(key, ',')
-		}
-		k := string(key)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{vals: vals}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.count++
-	}
-	out := make([][]int64, 0, len(order))
-	for _, k := range order {
-		g := groups[k]
-		t := make([]int64, len(q.Head))
-		gi := 0
-		for i := range q.Head {
-			if i == ci {
-				t[i] = g.count
-			} else {
-				t[i] = int64(g.vals[gi])
-				gi++
+		for i, pi := range pos {
+			if i != ci {
+				key = strconv.AppendInt(key, int64(row[pi]), 10)
+				key = append(key, ',')
 			}
 		}
-		out = append(out, t)
+		if g, ok := groups[string(key)]; ok {
+			flat[g*w+ci]++
+			continue
+		}
+		groups[string(key)] = len(flat) / w
+		for i, pi := range pos {
+			if i == ci {
+				flat = append(flat, 1)
+			} else {
+				flat = append(flat, int64(row[pi]))
+			}
+		}
+	}
+	return splitTuples(flat, len(groups), w)
+}
+
+// splitTuples cuts flat into n consecutive tuples of w values, each a full
+// slice expression so cap == len.
+func splitTuples(flat []int64, n, w int) [][]int64 {
+	out := make([][]int64, n)
+	for i := range out {
+		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out
 }
 
+// crossRows returns the cross product a × b, every row laid out in one
+// backing array with cap == len.
 func crossRows(a, b [][]int32) [][]int32 {
+	width := 0
+	for _, ra := range a {
+		width += len(ra) * len(b)
+	}
+	for _, rb := range b {
+		width += len(rb) * len(a)
+	}
+	flat := make([]int32, 0, width)
 	out := make([][]int32, 0, len(a)*len(b))
 	for _, ra := range a {
 		for _, rb := range b {
-			r := make([]int32, 0, len(ra)+len(rb))
-			r = append(r, ra...)
-			r = append(r, rb...)
-			out = append(out, r)
+			s := len(flat)
+			flat = append(flat, ra...)
+			flat = append(flat, rb...)
+			out = append(out, flat[s:len(flat):len(flat)])
 		}
 	}
 	return out
@@ -535,10 +542,7 @@ func (ex *executor) evalComponent(c *component) (*compResult, error) {
 		cr.cols = []int{h}
 		dom := c.allowed[h]
 		if !ex.dry {
-			cr.rows = make([][]int32, len(dom))
-			for i, v := range dom {
-				cr.rows[i] = []int32{v}
-			}
+			cr.rows = unitRows(dom)
 		}
 		compNode.Children = append([]*Node{{
 			Op: "domain", Detail: p.vars[h], Rows: int64(len(dom)),
@@ -715,12 +719,13 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	if err := ex.charge(len(groups), rowBudgetBytes(1)+8); err != nil {
 		return nil, err
 	}
-	cr.rows = make([][]int32, len(groups))
+	gs := make([]int32, len(groups))
 	cr.counts = make([]int64, len(groups))
 	for i, gc := range groups {
-		cr.rows[i] = []int32{gc.X}
+		gs[i] = gc.X
 		cr.counts[i] = gc.Distinct
 	}
+	cr.rows = unitRows(gs)
 	node.Strategy, node.Detail = strategy, detail
 	node.Rows = int64(len(groups))
 	return cr, nil
@@ -785,10 +790,9 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 				if err := ex.charge(ix.NumKeys(), rowBudgetBytes(1)+8); err != nil {
 					return nil, err
 				}
-				cr.rows = make([][]int32, ix.NumKeys())
+				cr.rows = unitRows(ix.Keys())
 				cr.counts = make([]int64, ix.NumKeys())
-				for i := 0; i < ix.NumKeys(); i++ {
-					cr.rows[i] = []int32{ix.Key(i)}
+				for i := range cr.counts {
 					cr.counts[i] = int64(ix.Degree(i))
 				}
 				node.Rows = int64(ix.NumKeys())
@@ -800,10 +804,7 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 			if err := ex.charge(e.rel.Size(), rowBudgetBytes(2)); err != nil {
 				return nil, err
 			}
-			cr.rows = make([][]int32, 0, e.rel.Size())
-			for _, pr := range e.rel.Pairs() {
-				cr.rows = append(cr.rows, []int32{pr.X, pr.Y})
-			}
+			cr.rows = pairRows(e.rel)
 		}
 		return cr, nil
 	}
@@ -827,6 +828,33 @@ func (ex *executor) finalNode(c *component, live []liveEdge, heads map[int]bool)
 		return ex.starNode(live, center)
 	}
 	return ex.enumerate(c, live, heads)
+}
+
+// unitRows returns one single-column row per value of vs, each a slice of vs
+// itself: rows are read-only, so they may alias index or domain storage.
+func unitRows(vs []int32) [][]int32 {
+	rows := make([][]int32, len(vs))
+	for i := range vs {
+		rows[i] = vs[i : i+1 : i+1]
+	}
+	return rows
+}
+
+// pairRows lays out rel's tuples as (x, y) rows in x-index order, all in one
+// backing array.
+func pairRows(rel *relation.Relation) [][]int32 {
+	ix := rel.ByX()
+	flat := make([]int32, 2*rel.Size())
+	rows := make([][]int32, 0, rel.Size())
+	for i := 0; i < ix.NumKeys(); i++ {
+		k := ix.Key(i)
+		for _, v := range ix.List(i) {
+			s := 2 * len(rows)
+			flat[s], flat[s+1] = k, v
+			rows = append(rows, flat[s:s+2:s+2])
+		}
+	}
+	return rows
 }
 
 // starNode runs the Section-3.2 star primitive over the arm views.
@@ -1086,14 +1114,7 @@ func lookupLive(e *liveEdge, v int, val int32) []int32 {
 // SortTuples orders result tuples lexicographically — the canonical serving
 // order the server's pagination and the view store rely on.
 func SortTuples(tuples [][]int64) {
-	sort.Slice(tuples, func(i, j int) bool {
-		for k := range tuples[i] {
-			if tuples[i][k] != tuples[j][k] {
-				return tuples[i][k] < tuples[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(tuples, slices.Compare[[]int64])
 }
 
 // dedupRows removes duplicate rows (by value).

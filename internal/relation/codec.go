@@ -3,7 +3,6 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Columnar pair codec: the compact binary encoding of a full relation image
@@ -25,8 +24,11 @@ const maxEncodedPairs = 1 << 32
 // must be sorted by (x, y) and duplicate-free (as Pairs() returns); AppendPairs
 // sorts a copy if it is not, so callers never produce an undecodable image.
 func AppendPairs(dst []byte, ps []Pair) []byte {
-	if !sort.SliceIsSorted(ps, func(i, j int) bool { return pairLess(ps[i], ps[j], false) }) {
-		ps = sortPairsBy(ps, false)
+	for i := 1; i < len(ps); i++ {
+		if !pairLess(ps[i-1], ps[i]) {
+			ps = sortPairs(ps)
+			break
+		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(ps)))
 	var prev Pair
@@ -142,16 +144,5 @@ func inInt32(v int64) bool { return v >= -1<<31 && v <= 1<<31-1 }
 // recovery fast path: loading a snapshotted relation costs one sort instead
 // of two.
 func FromSortedPairs(name string, ps []Pair) *Relation {
-	cp := make([]Pair, len(ps))
-	copy(cp, ps)
-	byX := buildIndex(cp, func(p Pair) int32 { return p.X }, func(p Pair) int32 { return p.Y })
-	n := len(cp)
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].Y != cp[j].Y {
-			return cp[i].Y < cp[j].Y
-		}
-		return cp[i].X < cp[j].X
-	})
-	byY := buildIndex(cp, func(p Pair) int32 { return p.Y }, func(p Pair) int32 { return p.X })
-	return &Relation{name: name, n: n, byX: byX, byY: byY}
+	return fromSortedKeys(name, packPairs(ps))
 }

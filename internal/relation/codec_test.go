@@ -48,17 +48,22 @@ func TestCodecDifferential(t *testing.T) {
 }
 
 // TestCodecUnsortedInputCanonicalized feeds AppendPairs an unsorted,
-// duplicated list and expects the canonical sorted image.
+// duplicated list, and a sorted list with a duplicate, and expects the
+// canonical sorted image from both.
 func TestCodecUnsortedInputCanonicalized(t *testing.T) {
-	ps := []Pair{{3, 1}, {1, 2}, {3, 1}, {1, 1}}
-	enc := AppendPairs(nil, ps)
-	dec, _, err := DecodePairs(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []Pair{{1, 1}, {1, 2}, {3, 1}}
-	if !reflect.DeepEqual(dec, want) {
-		t.Fatalf("decoded %v, want %v", dec, want)
+	for _, ps := range [][]Pair{
+		{{3, 1}, {1, 2}, {3, 1}, {1, 1}},
+		{{1, 1}, {1, 2}, {1, 2}, {3, 1}},
+	} {
+		enc := AppendPairs(nil, ps)
+		dec, _, err := DecodePairs(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", ps, err)
+		}
+		if !reflect.DeepEqual(dec, want) {
+			t.Fatalf("%v: decoded %v, want %v", ps, dec, want)
+		}
 	}
 }
 
@@ -86,7 +91,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			continue
 		}
 		for j := 1; j < len(dec); j++ {
-			if !pairLess(dec[j-1], dec[j], false) {
+			if !pairLess(dec[j-1], dec[j]) {
 				t.Fatalf("flip at %d decoded to unsorted pairs", i)
 			}
 		}

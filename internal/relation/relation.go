@@ -12,6 +12,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -72,31 +73,71 @@ func (ix *Index) MaxDegree() int {
 	return m
 }
 
-// buildIndex constructs an Index from tuples sorted by (key, val) with
-// duplicates already removed. keyOf/valOf select the two columns.
-func buildIndex(ps []Pair, keyOf, valOf func(Pair) int32) *Index {
+// Packed keys: a tuple (k, v) is one uint64 with k in the high half and v in
+// the low half, each with its sign bit flipped so that unsigned word order is
+// signed (k, v) order (MinInt32 packs to 0, MaxInt32 to 0xffffffff). One
+// slices.Sort over the words is then a lexicographic tuple sort with no
+// comparison callback, and swapping the halves re-keys the tuple on its other
+// column. The k half is the index key and the v half its partner.
+
+const signFlip = 1 << 31
+
+func packKey(k, v int32) uint64 {
+	return uint64(uint32(k)^signFlip)<<32 | uint64(uint32(v)^signFlip)
+}
+
+// keyOf and valOf unpack the high (index key) and low (partner) halves.
+func keyOf(w uint64) int32 { return int32(uint32(w>>32) ^ signFlip) }
+func valOf(w uint64) int32 { return int32(uint32(w) ^ signFlip) }
+
+// packPairs packs ps keyed on x.
+func packPairs(ps []Pair) []uint64 {
+	ws := make([]uint64, len(ps))
+	for i, p := range ps {
+		ws[i] = packKey(p.X, p.Y)
+	}
+	return ws
+}
+
+// sortKeys sorts ws in place and drops duplicates.
+func sortKeys(ws []uint64) []uint64 {
+	slices.Sort(ws)
+	return slices.Compact(ws)
+}
+
+// swapKeys re-keys every word on its other column and sorts ws again.
+func swapKeys(ws []uint64) {
+	for i, w := range ws {
+		ws[i] = w<<32 | w>>32
+	}
+	slices.Sort(ws)
+}
+
+// buildIndex constructs an Index from packed keys sorted ascending with
+// duplicates removed.
+func buildIndex(ws []uint64) *Index {
 	ix := &Index{}
-	if len(ps) == 0 {
+	if len(ws) == 0 {
 		ix.off = []int32{0}
 		return ix
 	}
 	nk := 1
-	for i := 1; i < len(ps); i++ {
-		if keyOf(ps[i]) != keyOf(ps[i-1]) {
+	for i := 1; i < len(ws); i++ {
+		if ws[i]>>32 != ws[i-1]>>32 {
 			nk++
 		}
 	}
 	ix.keys = make([]int32, 0, nk)
 	ix.off = make([]int32, 0, nk+1)
-	ix.vals = make([]int32, len(ps))
-	for i, p := range ps {
-		if i == 0 || keyOf(p) != keyOf(ps[i-1]) {
-			ix.keys = append(ix.keys, keyOf(p))
+	ix.vals = make([]int32, len(ws))
+	for i, w := range ws {
+		if i == 0 || w>>32 != ws[i-1]>>32 {
+			ix.keys = append(ix.keys, keyOf(w))
 			ix.off = append(ix.off, int32(i))
 		}
-		ix.vals[i] = valOf(p)
+		ix.vals[i] = valOf(w)
 	}
-	ix.off = append(ix.off, int32(len(ps)))
+	ix.off = append(ix.off, int32(len(ws)))
 	return ix
 }
 
@@ -109,41 +150,20 @@ type Relation struct {
 }
 
 // FromPairs builds a relation from tuples. Duplicate tuples are removed and
-// both column indexes are built. The input slice is not retained.
+// both column indexes are built from one buffer of packed keys: a sort by
+// (x, y) builds the X index, and swapping the halves in place and sorting
+// again builds the Y index. The input slice is not retained.
 func FromPairs(name string, ps []Pair) *Relation {
-	cp := make([]Pair, len(ps))
-	copy(cp, ps)
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].X != cp[j].X {
-			return cp[i].X < cp[j].X
-		}
-		return cp[i].Y < cp[j].Y
-	})
-	cp = dedupPairs(cp)
-	byX := buildIndex(cp, func(p Pair) int32 { return p.X }, func(p Pair) int32 { return p.Y })
-	// Re-sort by (y, x) for the mirror index.
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].Y != cp[j].Y {
-			return cp[i].Y < cp[j].Y
-		}
-		return cp[i].X < cp[j].X
-	})
-	byY := buildIndex(cp, func(p Pair) int32 { return p.Y }, func(p Pair) int32 { return p.X })
-	return &Relation{name: name, n: len(cp), byX: byX, byY: byY}
+	return fromSortedKeys(name, sortKeys(packPairs(ps)))
 }
 
-func dedupPairs(cp []Pair) []Pair {
-	if len(cp) == 0 {
-		return cp
-	}
-	w := 1
-	for i := 1; i < len(cp); i++ {
-		if cp[i] != cp[w-1] {
-			cp[w] = cp[i]
-			w++
-		}
-	}
-	return cp[:w]
+// fromSortedKeys builds a relation from (x, y) packed keys sorted ascending
+// with duplicates removed, reusing ws as the buffer of the mirror sort.
+func fromSortedKeys(name string, ws []uint64) *Relation {
+	byX := buildIndex(ws)
+	swapKeys(ws)
+	byY := buildIndex(ws)
+	return &Relation{name: name, n: len(ws), byX: byX, byY: byY}
 }
 
 // ApplyDelta returns a new relation with added tuples inserted into and
@@ -155,71 +175,59 @@ func dedupPairs(cp []Pair) []Pair {
 // already present and tuples in removed that are absent are ignored; a
 // tuple in both is removed.
 func ApplyDelta(r *Relation, name string, added, removed []Pair) *Relation {
-	addX := sortPairsBy(added, false)
-	remX := sortPairsBy(removed, false)
-	mergedX := mergeRuns(r, r.byX, false, addX, remX)
-	byX := buildIndex(mergedX, func(p Pair) int32 { return p.X }, func(p Pair) int32 { return p.Y })
-	addY := sortPairsBy(added, true)
-	remY := sortPairsBy(removed, true)
-	mergedY := mergeRuns(r, r.byY, true, addY, remY)
-	byY := buildIndex(mergedY, func(p Pair) int32 { return p.Y }, func(p Pair) int32 { return p.X })
+	add := sortKeys(packPairs(added))
+	rem := sortKeys(packPairs(removed))
+	mergedX := mergeRuns(r.byX, r.n, add, rem)
+	byX := buildIndex(mergedX)
+	swapKeys(add)
+	swapKeys(rem)
+	byY := buildIndex(mergeRuns(r.byY, r.n, add, rem))
 	return &Relation{name: name, n: len(mergedX), byX: byX, byY: byY}
 }
 
-// sortPairsBy clones and sorts pairs by (x,y), or by (y,x) when swap is
-// set, removing duplicates.
-func sortPairsBy(ps []Pair, swap bool) []Pair {
-	cp := make([]Pair, len(ps))
-	copy(cp, ps)
-	sort.Slice(cp, func(i, j int) bool { return pairLess(cp[i], cp[j], swap) })
-	return dedupPairs(cp)
+// sortPairs clones and sorts pairs by (x,y), removing duplicates.
+func sortPairs(ps []Pair) []Pair {
+	ws := sortKeys(packPairs(ps))
+	out := make([]Pair, len(ws))
+	for i, w := range ws {
+		out[i] = Pair{X: keyOf(w), Y: valOf(w)}
+	}
+	return out
 }
 
-// pairLess orders pairs by (x,y), or by (y,x) when swap is set.
-func pairLess(a, b Pair, swap bool) bool {
-	ka, va, kb, vb := a.X, a.Y, b.X, b.Y
-	if swap {
-		ka, va, kb, vb = a.Y, a.X, b.Y, b.X
-	}
-	if ka != kb {
-		return ka < kb
-	}
-	return va < vb
-}
+// pairLess orders pairs by (x,y).
+func pairLess(a, b Pair) bool { return packKey(a.X, a.Y) < packKey(b.X, b.Y) }
 
-// mergeRuns walks one of r's indexes in key order, merging the added run in
-// and skipping tuples in the removed run. The output is sorted in the
-// index's (key, val) order with duplicates (including add-of-present)
-// dropped.
-func mergeRuns(r *Relation, ix *Index, swap bool, added, removed []Pair) []Pair {
-	out := make([]Pair, 0, r.n+len(added))
+// mergeRuns walks ix (n tuples) in key order, merging the added run in and
+// skipping tuples in the removed run; both runs are packed keys in ix's
+// orientation, sorted and duplicate-free. The output is the index's packed
+// keys in order with duplicates (including add-of-present) dropped.
+func mergeRuns(ix *Index, n int, added, removed []uint64) []uint64 {
+	out := make([]uint64, 0, n+len(added))
 	ai, ri := 0, 0
-	push := func(p Pair) {
+	push := func(w uint64) {
 		// Drop tuples matched by the removed run.
-		for ri < len(removed) && pairLess(removed[ri], p, swap) {
+		for ri < len(removed) && removed[ri] < w {
 			ri++
 		}
-		if ri < len(removed) && removed[ri] == p {
+		if ri < len(removed) && removed[ri] == w {
 			return
 		}
 		// Drop duplicates (an added tuple already present).
-		if n := len(out); n > 0 && out[n-1] == p {
+		if len(out) > 0 && out[len(out)-1] == w {
 			return
 		}
-		out = append(out, p)
+		out = append(out, w)
 	}
 	for i := 0; i < ix.NumKeys(); i++ {
 		k := ix.Key(i)
 		for _, v := range ix.List(i) {
-			p := Pair{X: k, Y: v}
-			if swap {
-				p = Pair{X: v, Y: k}
-			}
-			for ai < len(added) && pairLess(added[ai], p, swap) {
+			w := packKey(k, v)
+			for ai < len(added) && added[ai] < w {
 				push(added[ai])
 				ai++
 			}
-			push(p)
+			push(w)
 		}
 	}
 	for ; ai < len(added); ai++ {

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -368,5 +369,108 @@ func TestApplyDeltaDifferential(t *testing.T) {
 		if got.ByY().NumKeys() != ref.ByY().NumKeys() {
 			t.Fatalf("round %d: ByY key counts diverged", round)
 		}
+	}
+}
+
+// checkIndexAgainst compares an index to a naive reference: a map from key
+// to its set of partners. Keys() must list the distinct keys ascending in
+// signed order and every Lookup must return that key's partners ascending.
+func checkIndexAgainst(t *testing.T, what string, ix *Index, ref map[int32]map[int32]bool) {
+	t.Helper()
+	keys := make([]int32, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	if got := ix.Keys(); len(got) != len(keys) || (len(keys) > 0 && !reflect.DeepEqual(got, keys)) {
+		t.Fatalf("%s: Keys() = %v, want %v", what, got, keys)
+	}
+	for _, k := range keys {
+		want := make([]int32, 0, len(ref[k]))
+		for v := range ref[k] {
+			want = append(want, v)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if got := ix.Lookup(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Lookup(%d) = %v, want %v", what, k, got, want)
+		}
+	}
+}
+
+// checkRelationAgainst compares both indexes and the size of r to the set of
+// tuples in ref.
+func checkRelationAgainst(t *testing.T, what string, r *Relation, ref map[Pair]bool) {
+	t.Helper()
+	byX, byY := map[int32]map[int32]bool{}, map[int32]map[int32]bool{}
+	for p := range ref {
+		if byX[p.X] == nil {
+			byX[p.X] = map[int32]bool{}
+		}
+		byX[p.X][p.Y] = true
+		if byY[p.Y] == nil {
+			byY[p.Y] = map[int32]bool{}
+		}
+		byY[p.Y][p.X] = true
+	}
+	if r.Size() != len(ref) {
+		t.Fatalf("%s: Size() = %d, want %d", what, r.Size(), len(ref))
+	}
+	checkIndexAgainst(t, what+" ByX", r.ByX(), byX)
+	checkIndexAgainst(t, what+" ByY", r.ByY(), byY)
+}
+
+// TestFullRangeDifferential cross-checks FromPairs and ApplyDelta against a
+// naive map-and-sort reference over the whole int32 range: negatives, zero,
+// both extremes and their neighbours, and heavy duplication. The indexes
+// sort packed keys, so a sign-handling slip would misorder negatives here.
+func TestFullRangeDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	edges := []int32{math.MinInt32, math.MinInt32 + 1, -65536, -2, -1, 0, 1, 2, 65535, math.MaxInt32 - 1, math.MaxInt32}
+	value := func(pool []int32) int32 {
+		if rng.Intn(2) == 0 {
+			return pool[rng.Intn(len(pool))]
+		}
+		return int32(rng.Uint32())
+	}
+	randPairs := func(n int, pool []int32) []Pair {
+		out := make([]Pair, n)
+		for i := range out {
+			out[i] = Pair{X: value(pool), Y: value(pool)}
+		}
+		// Repeat some tuples so deduplication is always exercised.
+		for i := 0; i < n/4; i++ {
+			out = append(out, out[rng.Intn(n)])
+		}
+		return out
+	}
+	for round := 0; round < 200; round++ {
+		// A small per-round pool of values shared by x and y keeps keys
+		// repeating, so partner lists are longer than one.
+		pool := append([]int32(nil), edges...)
+		for i := 0; i < 4; i++ {
+			pool = append(pool, int32(rng.Uint32()))
+		}
+		base := randPairs(1+rng.Intn(80), pool)
+		ref := map[Pair]bool{}
+		for _, p := range base {
+			ref[p] = true
+		}
+		r := FromPairs("R", base)
+		checkRelationAgainst(t, "FromPairs", r, ref)
+
+		added := randPairs(1+rng.Intn(20), pool)
+		var removed []Pair
+		ps := r.Pairs()
+		for i := 0; i < rng.Intn(10); i++ {
+			removed = append(removed, ps[rng.Intn(len(ps))])
+		}
+		removed = append(removed, randPairs(1+rng.Intn(4), pool)...) // some misses
+		for _, p := range added {
+			ref[p] = true
+		}
+		for _, p := range removed {
+			delete(ref, p) // a tuple both added and removed is removed
+		}
+		checkRelationAgainst(t, "ApplyDelta", ApplyDelta(r, "R", added, removed), ref)
 	}
 }
