@@ -149,14 +149,8 @@ func BenchmarkFig4a_TwoPathSingleCore(b *testing.B) {
 		b.Run(name+"/MMJoin", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dec := opt.Choose(r, r, 1)
-				jopt := joinproject.Options{Workers: 1}
-				if dec.UseWCOJ {
-					t := r.Size() + 1
-					jopt.Delta1, jopt.Delta2 = t, t
-				} else {
-					jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
-				}
-				_ = joinproject.TwoPathSize(r, r, jopt)
+				jopt := joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2, Workers: 1}
+				_ = joinproject.TwoPathSize(r, r, joinproject.Thresholds(dec.Strategy, jopt, false, r, r))
 			}
 		})
 		b.Run(name+"/NonMMJoin", func(b *testing.B) {
@@ -243,14 +237,8 @@ func benchJoinParallel(b *testing.B, name string) {
 		b.Run(fmt.Sprintf("cores=%d/MMJoin", cores), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dec := opt.Choose(r, r, cores)
-				jopt := joinproject.Options{Workers: cores}
-				if dec.UseWCOJ {
-					t := r.Size() + 1
-					jopt.Delta1, jopt.Delta2 = t, t
-				} else {
-					jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
-				}
-				_ = joinproject.TwoPathSize(r, r, jopt)
+				jopt := joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2, Workers: cores}
+				_ = joinproject.TwoPathSize(r, r, joinproject.Thresholds(dec.Strategy, jopt, false, r, r))
 			}
 		})
 		b.Run(fmt.Sprintf("cores=%d/NonMMJoin", cores), func(b *testing.B) {
@@ -502,13 +490,10 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	r := ds(b, "Jokes", benchScale)
 	opt := optimizer.New()
 	dec := opt.Choose(r, r, 1)
-	d1, d2 := dec.Delta1, dec.Delta2
-	if dec.UseWCOJ {
-		d1, d2 = r.Size()+1, r.Size()+1
-	}
+	jopt := joinproject.Thresholds(dec.Strategy, joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2, Workers: 1}, false, r, r)
 	b.Run("Optimizer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = joinproject.TwoPathSize(r, r, joinproject.Options{Delta1: d1, Delta2: d2, Workers: 1})
+			_ = joinproject.TwoPathSize(r, r, jopt)
 		}
 	})
 	for _, fixed := range []int{1, 16, 256} {

@@ -7,8 +7,8 @@
 // The package provides the composition layer the generic planner of
 // internal/query is built on: every acyclic shape is evaluated by composing
 // the output-sensitive 2-path and star primitives of internal/joinproject,
-// with an optional per-composition Planner choosing MM vs WCOJ vs the
-// combinatorial plan for each fold from the calibrated cost model.
+// each fold running the strategy its caller pinned (MM, WCOJ or the
+// combinatorial plan; the query executor pins the cost model's choice).
 //
 //   - Path queries P_k(x0, xk) = R1(x0,x1), R2(x1,x2), ..., Rk(x_{k-1},xk),
 //     projected onto the endpoints. Adjacent relations are folded with the
@@ -21,9 +21,9 @@
 //     into a (center, leaf) view with PathProject, then the arm views are
 //     combined with the Section-3.2 star algorithm.
 //
-//   - Arbitrary folds: Compose exposes one planned composition step so the
-//     internal/query executor can collapse any acyclic join tree, recording
-//     a Step per node for EXPLAIN.
+//   - Arbitrary folds: Compose exposes one composition step so the
+//     internal/query executor can collapse any acyclic join tree, reporting
+//     the strategy and thresholds each fold ran with for EXPLAIN.
 //
 // Every intermediate is itself deduplicated, which is exactly the reason
 // pushing projections through the plan wins over materializing the full
@@ -34,6 +34,7 @@ import (
 	"fmt"
 
 	"repro/internal/joinproject"
+	"repro/internal/optimizer"
 	"repro/internal/relation"
 )
 
@@ -50,38 +51,12 @@ const (
 	OrderBushy
 )
 
-// Strategy names for composition decisions.
+// Strategy names for composition decisions, as defined by joinproject.
 const (
-	StrategyMM    = "mm"
-	StrategyWCOJ  = "wcoj"
-	StrategyNonMM = "nonmm"
+	StrategyMM    = joinproject.StrategyMM
+	StrategyWCOJ  = joinproject.StrategyWCOJ
+	StrategyNonMM = joinproject.StrategyNonMM
 )
-
-// ComposeDecision is a per-composition plan choice: which algorithm runs the
-// fold, with the thresholds and estimates it was based on.
-type ComposeDecision struct {
-	// Strategy is StrategyMM, StrategyWCOJ or StrategyNonMM.
-	Strategy string
-	// Delta1, Delta2 are the degree thresholds (MM only; 0 = heuristic).
-	Delta1, Delta2 int
-	// EstOut and OutJoin record the estimates behind the decision, when the
-	// planner computed them (0 otherwise).
-	EstOut, OutJoin int64
-	// PredictedNs is the modeled cost of the chosen plan in nanoseconds
-	// (0 = the planner priced nothing).
-	PredictedNs float64
-	// Margin is how decisively the chosen strategy won (see
-	// optimizer.Decision.Margin); NearMargin flags coin-flip decisions.
-	Margin     float64
-	NearMargin bool
-}
-
-// Planner chooses a strategy for one composition
-// V(a,c) = π_{a,c}(L(a,b) ⋈ R(b,c)). Implementations typically wrap the
-// Section-5 cost-based optimizer (see optimizer.Optimizer.DecideCompose).
-type Planner interface {
-	ChooseCompose(l, r *relation.Relation, workers int) ComposeDecision
-}
 
 // Options configures acyclic evaluation.
 type Options struct {
@@ -89,81 +64,24 @@ type Options struct {
 	Join joinproject.Options
 	// Order selects the fold order for chains.
 	Order Order
-	// Planner, when non-nil, chooses MM/WCOJ/NonMM per composition; nil runs
-	// every fold with the MM algorithm and the Join thresholds.
-	Planner Planner
 	// Force pins every composition to one strategy (StrategyMM, StrategyWCOJ
-	// or StrategyNonMM), overriding Planner. Empty means no pin.
+	// or StrategyNonMM). Empty runs StrategyMM.
 	Force string
 }
 
-// Step records one executed composition for plan reporting.
-type Step struct {
-	// Left and Right name the composed operands.
-	Left, Right string
-	// Strategy is the algorithm that ran the fold.
-	Strategy string
-	// Delta1, Delta2 are the thresholds the MM fold used (0 under WCOJ).
-	Delta1, Delta2 int
-	// EstOut and OutJoin are the planner's estimates (0 without a planner).
-	EstOut, OutJoin int64
-	// PredictedNs, Margin and NearMargin carry the planner's modeled cost
-	// and decision margin through to plan reporting (0 without a planner).
-	PredictedNs float64
-	Margin      float64
-	NearMargin  bool
-	// Rows is the actual output size of the fold.
-	Rows int
-}
-
-// String renders the step as one EXPLAIN line.
-func (s Step) String() string {
-	out := fmt.Sprintf("fold %s ∘ %s strategy=%s", s.Left, s.Right, s.Strategy)
-	if s.Strategy == StrategyMM && (s.Delta1 > 0 || s.Delta2 > 0) {
-		out += fmt.Sprintf(" Δ1=%d Δ2=%d", s.Delta1, s.Delta2)
-	}
-	if s.OutJoin > 0 {
-		out += fmt.Sprintf(" est|OUT|=%d |OUT⋈|=%d", s.EstOut, s.OutJoin)
-	}
-	if s.Margin > 0 {
-		out += fmt.Sprintf(" margin=%.2f×", s.Margin)
-		if s.NearMargin {
-			out += " (near)"
-		}
-	}
-	return out + fmt.Sprintf(" rows=%d", s.Rows)
-}
-
-// decide resolves the strategy for one composition under opt.
-func decide(l, r *relation.Relation, opt Options) ComposeDecision {
-	if opt.Force != "" {
-		return ComposeDecision{Strategy: opt.Force, Delta1: opt.Join.Delta1, Delta2: opt.Join.Delta2}
-	}
-	if opt.Planner != nil {
-		return opt.Planner.ChooseCompose(l, r, opt.Join.Workers)
-	}
-	return ComposeDecision{Strategy: StrategyMM, Delta1: opt.Join.Delta1, Delta2: opt.Join.Delta2}
-}
-
-// wcojThresholds returns thresholds that classify every value as light,
-// turning Algorithm 1 into the plain WCOJ + constant-time-dedup plan.
-func wcojThresholds(l, r *relation.Relation) int {
-	n := l.Size()
-	if r.Size() > n {
-		n = r.Size()
-	}
-	return n + 1
-}
-
-// Compose computes V(a, c) = π_{a,c}(L(a, b) ⋈ R(b, c)) as one planned
-// composition step. Algorithm 1 joins the second columns of both operands, so
-// the right-hand relation is swapped into (c, b) orientation first; the
-// output pairs are then (L.x, R.Swap().x) = (a, c) as required.
-func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
+// Compose computes V(a, c) = π_{a,c}(L(a, b) ⋈ R(b, c)) as one composition
+// step, running the opt.Force strategy with opt.Join's thresholds (unset
+// ones resolved by joinproject.Thresholds). Algorithm 1 joins the second
+// columns of both operands, so the right-hand relation is swapped into
+// (c, b) orientation first; the output pairs are then (L.x, R.Swap().x) =
+// (a, c) as required. The returned decision holds the strategy and
+// thresholds that ran.
+func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, optimizer.Decision) {
 	halt := func() bool { return opt.Join.Stop != nil && opt.Join.Stop() }
-	dec := decide(l, r, opt)
-	jopt := opt.Join
-	jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
+	dec := optimizer.Decision{Strategy: opt.Force}
+	if dec.Strategy == "" {
+		dec.Strategy = StrategyMM
+	}
 	var pairs [][2]int32
 	// A tripped Stop short-circuits the whole step: the join itself polls
 	// Stop, but the swap, the join, and the output materialization each cost
@@ -172,21 +90,13 @@ func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 	// partial result once it observes the cancellation.
 	if !halt() {
 		rs := r.Swap()
-		switch {
-		case halt():
-			// Canceled while swapping; skip the join.
-		case dec.Strategy == StrategyWCOJ:
-			t := wcojThresholds(l, r)
-			jopt.Delta1, jopt.Delta2 = t, t
-			pairs = joinproject.TwoPathMM(l, rs, jopt)
-		case dec.Strategy == StrategyNonMM:
-			pairs = joinproject.TwoPathNonMM(l, rs, jopt)
-		default:
-			dec.Strategy = StrategyMM
-			pairs = joinproject.TwoPathMM(l, rs, jopt)
+		if !halt() {
+			jopt := joinproject.Thresholds(dec.Strategy, opt.Join, false, l, rs)
+			if dec.Strategy != StrategyWCOJ {
+				dec.Delta1, dec.Delta2 = jopt.Delta1, jopt.Delta2
+			}
+			pairs = joinproject.TwoPath(dec.Strategy, l, rs, jopt)
 		}
-	} else {
-		dec.Strategy = StrategyMM
 	}
 	if halt() {
 		pairs = nil
@@ -195,27 +105,16 @@ func Compose(l, r *relation.Relation, opt Options) (*relation.Relation, Step) {
 	for i, p := range pairs {
 		ps[i] = relation.Pair{X: p[0], Y: p[1]}
 	}
-	v := relation.FromPairs(l.Name()+"∘"+r.Name(), ps)
-	step := Step{
-		Left: l.Name(), Right: r.Name(),
-		Strategy: dec.Strategy, Delta1: jopt.Delta1, Delta2: jopt.Delta2,
-		EstOut: dec.EstOut, OutJoin: dec.OutJoin,
-		PredictedNs: dec.PredictedNs, Margin: dec.Margin, NearMargin: dec.NearMargin,
-		Rows: v.Size(),
-	}
-	if dec.Strategy == StrategyWCOJ {
-		step.Delta1, step.Delta2 = 0, 0
-	}
-	return v, step
+	return relation.FromPairs(l.Name()+"∘"+r.Name(), ps), dec
 }
 
 // PathProject evaluates π_{x0,xk}(R1(x0,x1) ⋈ ... ⋈ Rk(x_{k-1},x_k)).
 // Relations are oriented head→tail: Ri's first column joins R(i−1)'s second.
 func PathProject(rels []*relation.Relation, opt Options) ([][2]int32, error) {
-	v, _, err := FoldPathPlanned(rels, opt)
-	if err != nil {
-		return nil, err
+	if len(rels) == 0 {
+		return nil, fmt.Errorf("acyclic: empty path query")
 	}
+	v := foldPath(rels, opt)
 	out := make([][2]int32, 0, v.Size())
 	for _, p := range v.Pairs() {
 		out = append(out, [2]int32{p.X, p.Y})
@@ -223,20 +122,8 @@ func PathProject(rels []*relation.Relation, opt Options) ([][2]int32, error) {
 	return out, nil
 }
 
-// FoldPathPlanned reduces the chain to a single (head, tail) relation,
-// recording every composition for plan reporting.
-func FoldPathPlanned(rels []*relation.Relation, opt Options) (*relation.Relation, []Step, error) {
-	if len(rels) == 0 {
-		return nil, nil, fmt.Errorf("acyclic: empty path query")
-	}
-	var steps []Step
-	v := foldPath(rels, opt, &steps)
-	return v, steps, nil
-}
-
-// foldPath reduces the chain to a single (head, tail) relation. steps, when
-// non-nil, accumulates the composition records.
-func foldPath(rels []*relation.Relation, opt Options, steps *[]Step) *relation.Relation {
+// foldPath reduces the chain to a single (head, tail) relation.
+func foldPath(rels []*relation.Relation, opt Options) *relation.Relation {
 	if len(rels) == 1 {
 		return rels[0]
 	}
@@ -250,21 +137,12 @@ func foldPath(rels []*relation.Relation, opt Options, steps *[]Step) *relation.R
 	}
 	if order == OrderBushy {
 		mid := len(rels) / 2
-		left := foldPath(rels[:mid], opt, steps)
-		right := foldPath(rels[mid:], opt, steps)
-		return compose(left, right, opt, steps)
+		v, _ := Compose(foldPath(rels[:mid], opt), foldPath(rels[mid:], opt), opt)
+		return v
 	}
 	acc := rels[0]
 	for _, next := range rels[1:] {
-		acc = compose(acc, next, opt, steps)
+		acc, _ = Compose(acc, next, opt)
 	}
 	return acc
-}
-
-func compose(l, r *relation.Relation, opt Options, steps *[]Step) *relation.Relation {
-	v, step := Compose(l, r, opt)
-	if steps != nil {
-		*steps = append(*steps, step)
-	}
-	return v
 }

@@ -27,7 +27,7 @@ func SnowflakeProject(arms [][]*relation.Relation, opt Options) ([][]int32, erro
 		}
 		// Fold the chain to V(center, leaf), then swap to (leaf, center) so
 		// the star joins on the center variable.
-		views[i] = foldPath(arm, opt, nil).Swap()
+		views[i] = foldPath(arm, opt).Swap()
 	}
 	if len(views) == 1 {
 		// A one-armed snowflake is just the arm view projected to its leaf
@@ -61,6 +61,6 @@ func Reachable(rels []*relation.Relation, a, c int32, opt Options) (bool, error)
 		return restricted[0].Contains(a, c), nil
 	}
 	restricted[last] = rels[last].Swap().RestrictXSet([]int32{c}).Swap()
-	v := foldPath(restricted, opt, nil)
+	v := foldPath(restricted, opt)
 	return v.Contains(a, c), nil
 }

@@ -179,76 +179,47 @@ func (p Plan) String() string {
 	}
 }
 
-// planTwoPath resolves the strategy and thresholds for one 2-path instance.
-func (e *Engine) planTwoPath(r, s *relation.Relation) Plan {
-	p := Plan{Strategy: e.cfg.Strategy.String(), Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
-	switch e.cfg.Strategy {
-	case Auto:
-		dec := e.opt.Choose(r, s, e.cfg.Workers)
-		p.EstOut, p.OutJoin = dec.EstOut, dec.OutJoin
-		if dec.UseWCOJ {
-			p.Strategy = "wcoj"
-		} else {
-			p.Strategy = "mm"
-			if p.Delta1 == 0 {
-				p.Delta1 = dec.Delta1
-			}
-			if p.Delta2 == 0 {
-				p.Delta2 = dec.Delta2
-			}
+// plan starts a Plan and the kernel options from the engine configuration;
+// under Auto the optimizer decision dec() supplies the strategy, the
+// estimates, and any thresholds the configuration leaves unset.
+func (e *Engine) plan(dec func() optimizer.Decision) (Plan, joinproject.Options) {
+	p := Plan{Strategy: e.cfg.Strategy.String()}
+	opt := joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers}
+	if e.cfg.Strategy == Auto {
+		d := dec()
+		p.Strategy, p.EstOut, p.OutJoin = d.Strategy, d.EstOut, d.OutJoin
+		if opt.Delta1 == 0 {
+			opt.Delta1 = d.Delta1
 		}
-	case ForceWCOJ:
-		p.Strategy = "wcoj"
-	case ForceMM:
-		p.Strategy = "mm"
-	case ForceNonMM:
-		p.Strategy = "nonmm"
+		if opt.Delta2 == 0 {
+			opt.Delta2 = d.Delta2
+		}
 	}
-	return p
+	return p, opt
 }
 
-// wcojThreshold returns thresholds that classify every value as light,
-// turning Algorithm 1 into the plain WCOJ + constant-time-dedup plan.
-func wcojThreshold(r, s *relation.Relation) int {
-	n := r.Size()
-	if s.Size() > n {
-		n = s.Size()
+// planTwoPath resolves the strategy and thresholds for one 2-path instance.
+func (e *Engine) planTwoPath(r, s *relation.Relation) (Plan, joinproject.Options) {
+	p, opt := e.plan(func() optimizer.Decision { return e.opt.Choose(r, s, e.cfg.Workers) })
+	opt = joinproject.Thresholds(p.Strategy, opt, false, r, s)
+	if p.Strategy != joinproject.StrategyWCOJ {
+		p.Delta1, p.Delta2 = opt.Delta1, opt.Delta2
 	}
-	return n + 1
+	return p, opt
 }
 
 // JoinProject evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) and returns the distinct
 // pairs along with the chosen plan.
 func (e *Engine) JoinProject(r, s *relation.Relation) ([][2]int32, Plan) {
-	p := e.planTwoPath(r, s)
-	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
-	switch p.Strategy {
-	case "wcoj":
-		t := wcojThreshold(r, s)
-		opt.Delta1, opt.Delta2 = t, t
-		return joinproject.TwoPathMM(r, s, opt), p
-	case "nonmm":
-		return joinproject.TwoPathNonMM(r, s, opt), p
-	default:
-		return joinproject.TwoPathMM(r, s, opt), p
-	}
+	p, opt := e.planTwoPath(r, s)
+	return joinproject.TwoPath(p.Strategy, r, s, opt), p
 }
 
 // JoinProjectCounts evaluates the counting variant: every output pair with
 // its exact witness count.
 func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairCount, Plan) {
-	p := e.planTwoPath(r, s)
-	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
-	switch p.Strategy {
-	case "wcoj":
-		t := wcojThreshold(r, s)
-		opt.Delta1, opt.Delta2 = t, t
-		return joinproject.TwoPathMMCounts(r, s, opt), p
-	case "nonmm":
-		return joinproject.TwoPathNonMMCounts(r, s, opt), p
-	default:
-		return joinproject.TwoPathMMCounts(r, s, opt), p
-	}
+	p, opt := e.planTwoPath(r, s)
+	return joinproject.TwoPathCounts(p.Strategy, r, s, opt), p
 }
 
 // JoinProjectVisit streams every distinct output pair with its witness
@@ -256,44 +227,19 @@ func (e *Engine) JoinProjectCounts(r, s *relation.Relation) ([]joinproject.PairC
 // concurrently when the engine is parallel; it must be safe for concurrent
 // use. Returns the chosen plan.
 func (e *Engine) JoinProjectVisit(r, s *relation.Relation, visit func(x, z, count int32)) Plan {
-	p := e.planTwoPath(r, s)
-	opt := joinproject.Options{Delta1: p.Delta1, Delta2: p.Delta2, Workers: e.cfg.Workers}
-	if p.Strategy == "wcoj" {
-		t := wcojThreshold(r, s)
-		opt.Delta1, opt.Delta2 = t, t
-	}
-	joinproject.TwoPathMMVisit(r, s, opt, visit)
+	p, opt := e.planTwoPath(r, s)
+	joinproject.TwoPathVisit(p.Strategy, r, s, opt, visit)
 	return p
 }
 
-// StarJoin evaluates the projected star query over k relations.
+// StarJoin evaluates the projected star query over k relations. The plan
+// names the kernel that ran: the star's WCOJ plan is its combinatorial
+// enumeration, reported as nonmm.
 func (e *Engine) StarJoin(rels []*relation.Relation) ([][]int32, Plan) {
-	p := Plan{Strategy: e.cfg.Strategy.String(), Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2}
-	opt := joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers}
-	switch e.cfg.Strategy {
-	case Auto:
-		dec := e.opt.ChooseStar(rels, e.cfg.Workers)
-		p.EstOut, p.OutJoin = dec.EstOut, dec.OutJoin
-		if dec.UseWCOJ {
-			p.Strategy = "wcoj"
-			return joinproject.StarNonMM(rels, opt), p
-		}
-		p.Strategy = "mm"
-		if opt.Delta1 == 0 {
-			opt.Delta1 = dec.Delta1
-		}
-		if opt.Delta2 == 0 {
-			opt.Delta2 = dec.Delta2
-		}
-		p.Delta1, p.Delta2 = opt.Delta1, opt.Delta2
-		return joinproject.StarMM(rels, opt), p
-	case ForceWCOJ, ForceNonMM:
-		p.Strategy = "nonmm"
-		return joinproject.StarNonMM(rels, opt), p
-	default:
-		p.Strategy = "mm"
-		return joinproject.StarMM(rels, opt), p
-	}
+	p, opt := e.plan(func() optimizer.Decision { return e.opt.ChooseStar(rels, e.cfg.Workers) })
+	tuples, ran := joinproject.Star(p.Strategy, rels, opt)
+	p.Strategy, p.Delta1, p.Delta2 = joinproject.StarKernel(p.Strategy), ran.Delta1, ran.Delta2
+	return tuples, p
 }
 
 // SimilarSets returns all set pairs with overlap at least c, using the
@@ -461,20 +407,7 @@ func (e *Engine) execOptions() query.ExecOptions {
 	return query.ExecOptions{
 		Optimizer: e.opt,
 		Workers:   e.cfg.Workers,
-		Strategy:  strategyName(e.cfg.Strategy),
-	}
-}
-
-func strategyName(s Strategy) string {
-	switch s {
-	case ForceMM:
-		return "mm"
-	case ForceWCOJ:
-		return "wcoj"
-	case ForceNonMM:
-		return "nonmm"
-	default:
-		return ""
+		Strategy:  e.cfg.Strategy.String(),
 	}
 }
 
@@ -626,4 +559,7 @@ func (e *Engine) Optimizer() *optimizer.Optimizer { return e.opt }
 
 // Explain returns the plan the engine would choose without running the
 // query.
-func (e *Engine) Explain(r, s *relation.Relation) Plan { return e.planTwoPath(r, s) }
+func (e *Engine) Explain(r, s *relation.Relation) Plan {
+	p, _ := e.planTwoPath(r, s)
+	return p
+}

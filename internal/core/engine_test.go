@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/bsi"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -255,23 +257,49 @@ func TestJoinProjectVisit(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	r := randomRel(rng, "R", 500, 50, 25)
 	want := brute(r, r)
-	var mu sync.Mutex
-	got := map[[2]int32]int32{}
-	eng := NewEngine(WithWorkers(4))
-	plan := eng.JoinProjectVisit(r, r, func(x, z, n int32) {
-		mu.Lock()
-		got[[2]int32{x, z}] += n
-		mu.Unlock()
-	})
-	if plan.Strategy == "" {
-		t.Fatal("missing plan")
+	kernelCalls := obs.Default().CounterVec("joinmm_kernel_calls_total", "", "kernel")
+	matrixCalls := func() uint64 {
+		return kernelCalls.With("mulbitcount").Value() + kernelCalls.With("roweachproduct").Value()
 	}
-	if len(got) != len(want) {
-		t.Fatalf("visit saw %d pairs, want %d", len(got), len(want))
+	cases := []struct {
+		name string
+		opts []Option
+		plan []string // acceptable plan strategies
+	}{
+		{"auto", nil, []string{"mm", "wcoj"}},
+		{"mm", []Option{WithStrategy(ForceMM)}, []string{"mm"}},
+		{"wcoj", []Option{WithStrategy(ForceWCOJ)}, []string{"wcoj"}},
+		{"nonmm", []Option{WithStrategy(ForceNonMM)}, []string{"nonmm"}},
+		// Every value heavy: the combinatorial kernel must still run no
+		// matrix product.
+		{"nonmm all heavy", []Option{WithStrategy(ForceNonMM), WithThresholds(1, 1)}, []string{"nonmm"}},
 	}
-	for p, c := range want {
-		if got[p] != c {
-			t.Fatalf("pair %v count %d, want %d", p, got[p], c)
+	for _, tc := range cases {
+		var mu sync.Mutex
+		got := map[[2]int32]int32{}
+		eng := NewEngine(append([]Option{WithWorkers(4)}, tc.opts...)...)
+		before := matrixCalls()
+		plan := eng.JoinProjectVisit(r, r, func(x, z, n int32) {
+			mu.Lock()
+			got[[2]int32{x, z}] += n
+			mu.Unlock()
+		})
+		if !slices.Contains(tc.plan, plan.Strategy) {
+			t.Fatalf("%s: plan strategy %q, want one of %v", tc.name, plan.Strategy, tc.plan)
+		}
+		if plan.Strategy != "wcoj" && (plan.Delta1 < 1 || plan.Delta2 < 1) {
+			t.Fatalf("%s: plan %s does not report the thresholds it ran with", tc.name, plan)
+		}
+		if plan.Strategy == "nonmm" && matrixCalls() != before {
+			t.Fatalf("%s: the combinatorial plan ran a matrix kernel", tc.name)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: visit saw %d pairs, want %d", tc.name, len(got), len(want))
+		}
+		for p, c := range want {
+			if got[p] != c {
+				t.Fatalf("%s: pair %v count %d, want %d", tc.name, p, got[p], c)
+			}
 		}
 	}
 }

@@ -24,16 +24,12 @@ func init() {
 // then Algorithm 1 runs.
 func runMMJoin(opt *optimizer.Optimizer, r *relation.Relation, workers int) (n int, plan string) {
 	dec := opt.Choose(r, r, workers)
-	jopt := joinproject.Options{Workers: workers}
-	if dec.UseWCOJ {
-		t := r.Size() + 1
-		jopt.Delta1, jopt.Delta2 = t, t
-		plan = "wcoj-fallback"
-	} else {
-		jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
+	plan = "wcoj-fallback"
+	if dec.Strategy == joinproject.StrategyMM {
 		plan = fmt.Sprintf("d1=%d,d2=%d", dec.Delta1, dec.Delta2)
 	}
-	return len(joinproject.TwoPathMM(r, r, jopt)), plan
+	jopt := joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2, Workers: workers}
+	return len(joinproject.TwoPath(dec.Strategy, r, r, jopt)), plan
 }
 
 func runFig4a(scale float64) Result {

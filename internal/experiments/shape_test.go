@@ -44,7 +44,7 @@ func TestShapeOptimizerFallsBackOnSparse(t *testing.T) {
 	for _, name := range []string{"RoadNet", "DBLP"} {
 		r := getDataset(name, 0.25)
 		dec := opt.Choose(r, r, 1)
-		if !dec.UseWCOJ {
+		if dec.Strategy != joinproject.StrategyWCOJ {
 			t.Errorf("%s: optimizer chose partitioning (outJoin=%d, N=%d), paper expects fallback",
 				name, dec.OutJoin, r.Size())
 		}
@@ -53,7 +53,7 @@ func TestShapeOptimizerFallsBackOnSparse(t *testing.T) {
 	for _, name := range []string{"Protein", "Image"} {
 		r := getDataset(name, 0.25)
 		dec := opt.Choose(r, r, 1)
-		if dec.UseWCOJ {
+		if dec.Strategy == joinproject.StrategyWCOJ {
 			t.Errorf("%s: optimizer fell back to WCOJ (outJoin=%d, N=%d), paper expects partitioning",
 				name, dec.OutJoin, r.Size())
 		}

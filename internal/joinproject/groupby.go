@@ -14,20 +14,19 @@ type GroupCount struct {
 	Witnesses int64
 }
 
-// TwoPathGroupBy evaluates the group-by aggregate
+// GroupBy evaluates the group-by aggregate
 //
 //	γ_{x; COUNT(DISTINCT z), COUNT(*)}(R(x,y) ⋈ S(z,y))
 //
-// output-sensitively with Algorithm 1's partition: distinct counts fall out
-// of the deduplicated light expansion plus the matrix row nonzeros, and
+// output-sensitively with strategy's kernel: distinct counts fall out of the
+// deduplicated light expansion plus the heavy residual's nonzeros, and
 // witness counts from the same pass's multiplicities. This is the Section-9
 // direction ("matrix multiplication in group-by aggregate queries",
-// cf. [36]): the aggregate never materializes the join, and groups whose
-// pairs are all heavy are counted entirely inside the matrix product.
-func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtx(r, s, opt.Delta1, opt.Delta2)
-	nx := c.rX.NumKeys()
+// cf. [36]): the aggregate never materializes the join, and under MM groups
+// whose pairs are all heavy are counted entirely inside the matrix product.
+func GroupBy(strategy string, r, s *relation.Relation, opt Options) []GroupCount {
+	rX := r.ByX()
+	nx := rX.NumKeys()
 	distinct := make([]int64, nx)
 	witnesses := make([]int64, nx)
 	// Track positions: the counting run delivers all pairs of one x from a
@@ -35,9 +34,9 @@ func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
 	// a value — precompute value → position.
 	posOf := make(map[int32]int, nx)
 	for i := 0; i < nx; i++ {
-		posOf[c.rX.Key(i)] = i
+		posOf[rX.Key(i)] = i
 	}
-	c.run(opt.Workers, true, func(x, _, n int32) {
+	twoPath(strategy, r, s, opt, true, func(_ int, x, _, n int32) {
 		i := posOf[x]
 		distinct[i]++
 		witnesses[i] += int64(n)
@@ -45,8 +44,13 @@ func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
 	out := make([]GroupCount, 0, nx)
 	for i := 0; i < nx; i++ {
 		if distinct[i] > 0 {
-			out = append(out, GroupCount{X: c.rX.Key(i), Distinct: distinct[i], Witnesses: witnesses[i]})
+			out = append(out, GroupCount{X: rX.Key(i), Distinct: distinct[i], Witnesses: witnesses[i]})
 		}
 	}
 	return out
+}
+
+// TwoPathGroupBy is GroupBy with Algorithm 1.
+func TwoPathGroupBy(r, s *relation.Relation, opt Options) []GroupCount {
+	return GroupBy(StrategyMM, r, s, opt)
 }

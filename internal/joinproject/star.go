@@ -344,15 +344,7 @@ func StarMM(rels []*relation.Relation, opt Options) [][]int32 {
 	if len(rels) == 0 {
 		return nil
 	}
-	if opt.Delta1 <= 0 || opt.Delta2 <= 0 {
-		d1, d2 := HeuristicStarThresholds(rels, len(rels))
-		if opt.Delta1 <= 0 {
-			opt.Delta1 = d1
-		}
-		if opt.Delta2 <= 0 {
-			opt.Delta2 = d2
-		}
-	}
+	opt = Thresholds(StrategyMM, opt, true, rels...)
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
 	var mu sync.Mutex
@@ -403,15 +395,7 @@ func StarMMCounts(rels []*relation.Relation, opt Options) []TupleCount {
 	if len(rels) == 0 {
 		return nil
 	}
-	if opt.Delta1 <= 0 || opt.Delta2 <= 0 {
-		d1, d2 := HeuristicStarThresholds(rels, len(rels))
-		if opt.Delta1 <= 0 {
-			opt.Delta1 = d1
-		}
-		if opt.Delta2 <= 0 {
-			opt.Delta2 = d2
-		}
-	}
+	opt = Thresholds(StrategyMM, opt, true, rels...)
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
 	counts := make(map[string]int32)
@@ -474,15 +458,7 @@ func StarMMSize(rels []*relation.Relation, opt Options) int64 {
 	if len(rels) == 0 {
 		return 0
 	}
-	if opt.Delta1 <= 0 || opt.Delta2 <= 0 {
-		d1, d2 := HeuristicStarThresholds(rels, len(rels))
-		if opt.Delta1 <= 0 {
-			opt.Delta1 = d1
-		}
-		if opt.Delta2 <= 0 {
-			opt.Delta2 = d2
-		}
-	}
+	opt = Thresholds(StrategyMM, opt, true, rels...)
 	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
 	c.stop = opt.Stop
 	var n int64

@@ -13,6 +13,15 @@
 // (Section 3.2). The combinatorial variants of both (no matrix
 // multiplication, Lemma 2) are implemented alongside as the paper's
 // Non-MMJoin baseline.
+//
+// Callers name the plan with one of three strategies: StrategyMM
+// (Algorithm 1), StrategyWCOJ (the worst-case optimal join with dedup that
+// Algorithm 3 falls back to) and StrategyNonMM (the combinatorial variant).
+// WCOJ is not a kernel of its own: it is Algorithm 1 with every value light,
+// both thresholds at the all-light bound max(|R|, |S|)+1. Thresholds
+// resolves the thresholds a strategy runs with, and TwoPath, TwoPathCounts,
+// TwoPathVisit, GroupBy and Star run its kernel, so this package is the one
+// place a strategy name becomes a kernel.
 package joinproject
 
 import (
@@ -67,20 +76,6 @@ type PairCount struct {
 	Count int32
 }
 
-// normalize fills in default thresholds.
-func (o Options) normalize(r, s *relation.Relation) Options {
-	if o.Delta1 <= 0 || o.Delta2 <= 0 {
-		d1, d2 := HeuristicThresholds(r, s)
-		if o.Delta1 <= 0 {
-			o.Delta1 = d1
-		}
-		if o.Delta2 <= 0 {
-			o.Delta2 = d2
-		}
-	}
-	return o
-}
-
 // twoPathCtx holds the degree partition and the positional indexes the
 // 2-path evaluation needs. Building it is the O(N log N) preprocessing pass.
 type twoPathCtx struct {
@@ -103,10 +98,6 @@ type twoPathCtx struct {
 	rX        *relation.Index
 	rYPos     [][]int32 // per rX position: sY positions of its y list (-1 if absent from S)
 	numHeavyA int
-}
-
-func newTwoPathCtx(r, s *relation.Relation, d1, d2 int) *twoPathCtx {
-	return newTwoPathCtxParallel(r, s, d1, d2, 1, nil)
 }
 
 // newTwoPathCtxParallel builds the positional indexes with the given degree
@@ -248,19 +239,15 @@ func (c *twoPathCtx) resolveDedup(mode DedupMode) bool {
 	}
 }
 
-// run evaluates the partitioned join. If counting is true, sink receives
-// exact witness counts; otherwise it receives each distinct pair once with
-// count 1. sink is invoked from multiple goroutines when workers > 1, with
-// all pairs of one x value delivered from a single goroutine.
-func (c *twoPathCtx) run(workers int, counting bool, sink func(x, z, count int32)) {
-	c.runMode(workers, counting, false, func(_ int, x, z, n int32) { sink(x, z, n) })
-}
-
-// runMode additionally selects the light-part dedup strategy. dedupSort
-// applies to set semantics only; the counting variant needs random-access
-// accumulation and always uses the stamp vector. The sink receives the
-// worker (chunk) index so callers can keep coordination-free per-worker
-// buffers — the Section-6 parallelization pattern.
+// runMode evaluates the partitioned join with Algorithm 1. If counting is
+// true, sink receives exact witness counts; otherwise it receives each
+// distinct pair once with count 1. dedupSort selects the light-part dedup
+// strategy and applies to set semantics only; the counting variant needs
+// random-access accumulation and always uses the stamp vector. sink is
+// invoked from multiple goroutines when workers > 1, with all pairs of one x
+// value delivered from a single goroutine, and receives the worker (chunk)
+// index so callers can keep coordination-free per-worker buffers — the
+// Section-6 parallelization pattern.
 func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(worker int, x, z, count int32)) {
 	nx := c.rX.NumKeys()
 	rowWords := (c.ncols + 63) / 64
@@ -599,54 +586,56 @@ func (cc *countCollector) out() []PairCount {
 	return out
 }
 
-// TwoPathMM evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) with Algorithm 1 and returns
-// the distinct output pairs (order unspecified).
-func TwoPathMM(r, s *relation.Relation, opt Options) [][2]int32 {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
+// TwoPath evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) with strategy's kernel and
+// returns the distinct output pairs (order unspecified).
+func TwoPath(strategy string, r, s *relation.Relation, opt Options) [][2]int32 {
 	pc := newPairCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, false, c.resolveDedup(opt.Dedup), pc.sink)
+	twoPath(strategy, r, s, opt, false, pc.sink)
 	return pc.pairs()
 }
 
-// TwoPathMMCounts evaluates the counting 2-path: every distinct output pair
-// with its exact witness count. The light/heavy witness categories of
-// Algorithm 1 partition the witness space, so counts are exact.
-func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
+// TwoPathCounts evaluates the counting 2-path with strategy's kernel: every
+// distinct output pair with its exact witness count. The light/heavy witness
+// categories of Algorithm 1 partition the witness space, so counts are
+// exact.
+func TwoPathCounts(strategy string, r, s *relation.Relation, opt Options) []PairCount {
 	cc := newCountCollector(par.Workers(opt.Workers))
-	c.runMode(opt.Workers, true, false, cc.sink)
+	twoPath(strategy, r, s, opt, true, cc.sink)
 	return cc.out()
 }
 
-// TwoPathMMVisit streams each distinct output pair and its witness count to
-// visit. visit is called concurrently when opt.Workers permits; it must be
-// safe for concurrent use.
+// TwoPathVisit streams each distinct output pair and its witness count to
+// visit, evaluated with strategy's kernel. visit is called concurrently when
+// opt.Workers permits; it must be safe for concurrent use.
+func TwoPathVisit(strategy string, r, s *relation.Relation, opt Options, visit func(x, z, count int32)) {
+	twoPath(strategy, r, s, opt, true, func(_ int, x, z, n int32) { visit(x, z, n) })
+}
+
+// TwoPathMM is TwoPath with Algorithm 1.
+func TwoPathMM(r, s *relation.Relation, opt Options) [][2]int32 {
+	return TwoPath(StrategyMM, r, s, opt)
+}
+
+// TwoPathMMCounts is TwoPathCounts with Algorithm 1.
+func TwoPathMMCounts(r, s *relation.Relation, opt Options) []PairCount {
+	return TwoPathCounts(StrategyMM, r, s, opt)
+}
+
+// TwoPathMMVisit is TwoPathVisit with Algorithm 1.
 func TwoPathMMVisit(r, s *relation.Relation, opt Options, visit func(x, z, count int32)) {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	c.run(opt.Workers, true, visit)
+	TwoPathVisit(StrategyMM, r, s, opt, visit)
 }
 
 // TwoPathNonMM is the combinatorial Lemma-2 baseline: the same degree
 // partitioning, with the heavy residual computed by pairwise sorted-list
 // intersections instead of matrix multiplication.
 func TwoPathNonMM(r, s *relation.Relation, opt Options) [][2]int32 {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	pc := newPairCollector(par.Workers(opt.Workers))
-	c.runNonMM(opt.Workers, false, pc.sink)
-	return pc.pairs()
+	return TwoPath(StrategyNonMM, r, s, opt)
 }
 
 // TwoPathNonMMCounts is the counting variant of TwoPathNonMM.
 func TwoPathNonMMCounts(r, s *relation.Relation, opt Options) []PairCount {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
-	cc := newCountCollector(par.Workers(opt.Workers))
-	c.runNonMM(opt.Workers, true, cc.sink)
-	return cc.out()
+	return TwoPathCounts(StrategyNonMM, r, s, opt)
 }
 
 // paddedCount is a cache-line-padded counter: per-worker tallies would
@@ -659,10 +648,8 @@ type paddedCount struct {
 // TwoPathSize returns |OUT| — the number of distinct output pairs — without
 // materializing them.
 func TwoPathSize(r, s *relation.Relation, opt Options) int64 {
-	opt = opt.normalize(r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
 	counts := make([]paddedCount, par.Workers(opt.Workers))
-	c.runMode(opt.Workers, false, c.resolveDedup(opt.Dedup), func(w int, _, _, _ int32) { counts[w].n++ })
+	twoPath(StrategyMM, r, s, opt, false, func(w int, _, _, _ int32) { counts[w].n++ })
 	var total int64
 	for _, pc := range counts {
 		total += pc.n

@@ -40,10 +40,15 @@ const DefaultNearMarginBand = 1.5
 
 // Decision is the optimizer's plan choice for one query instance.
 type Decision struct {
-	// UseWCOJ is true when the plain worst-case optimal join + dedup plan is
-	// predicted to win (|OUT⋈| ≤ 20·N).
-	UseWCOJ bool
-	// Delta1, Delta2 are the chosen thresholds (valid when !UseWCOJ).
+	// Strategy names the plan: joinproject.StrategyWCOJ when the plain
+	// worst-case optimal join + dedup plan is predicted to win
+	// (|OUT⋈| ≤ 20·N), joinproject.StrategyMM otherwise. Decisions that
+	// report an executed fold or star (acyclic.Compose, the query executor)
+	// carry the strategy that ran, which may also be
+	// joinproject.StrategyNonMM.
+	Strategy string
+	// Delta1, Delta2 are the thresholds the plan partitions with; 0 under
+	// WCOJ, where every value is light.
 	Delta1, Delta2 int
 	// PredictedCost is the modeled cost of the chosen plan in abstract
 	// nanoseconds — for MM the descent's best thresholds, for WCOJ the
@@ -304,9 +309,9 @@ func (o *Optimizer) Choose(r, s *relation.Relation, cores int) Decision {
 		n = int64(s.Size())
 	}
 	c := o.Constants()
-	dec := Decision{OutJoin: outJoin, EstOut: estOut}
+	dec := Decision{Strategy: joinproject.StrategyMM, OutJoin: outJoin, EstOut: estOut}
 	if outJoin <= WCOJFallbackFactor*n || n == 0 {
-		dec.UseWCOJ = true
+		dec.Strategy = joinproject.StrategyWCOJ
 		dec.PredictedCost = wcojPlanCost(c, outJoin, n, 0)
 		if outJoin > 0 {
 			dec.Margin = float64(WCOJFallbackFactor*n) / float64(outJoin)
@@ -361,11 +366,7 @@ func (o *Optimizer) Choose(r, s *relation.Relation, cores int) Decision {
 // counters. Called on every planner decision that computed a margin.
 func (o *Optimizer) noteDecision(dec *Decision) {
 	dec.NearMargin = dec.Margin > 0 && dec.Margin < o.Band()
-	strategy := "mm"
-	if dec.UseWCOJ {
-		strategy = "wcoj"
-	}
-	decisionsTotal.With(strategy).Inc()
+	decisionsTotal.With(dec.Strategy).Inc()
 	if dec.NearMargin {
 		nearMarginTotal.Inc()
 	}
@@ -385,7 +386,7 @@ func (o *Optimizer) DecideCompose(l, r *relation.Relation, cores int) Decision {
 func (o *Optimizer) ChooseStar(rels []*relation.Relation, cores int) Decision {
 	k := len(rels)
 	if k == 0 {
-		return Decision{UseWCOJ: true}
+		return Decision{Strategy: joinproject.StrategyWCOJ}
 	}
 	outJoin := relation.FullJoinSize(rels...)
 	var n int64
@@ -395,9 +396,9 @@ func (o *Optimizer) ChooseStar(rels []*relation.Relation, cores int) Decision {
 		}
 	}
 	c := o.Constants()
-	dec := Decision{OutJoin: outJoin}
+	dec := Decision{Strategy: joinproject.StrategyMM, OutJoin: outJoin}
 	if n == 0 || outJoin <= WCOJFallbackFactor*n {
-		dec.UseWCOJ = true
+		dec.Strategy = joinproject.StrategyWCOJ
 		dec.PredictedCost = wcojPlanCost(c, outJoin, n, 0)
 		if outJoin > 0 {
 			dec.Margin = float64(WCOJFallbackFactor*n) / float64(outJoin)

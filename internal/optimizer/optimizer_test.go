@@ -107,7 +107,7 @@ func TestChooseFallsBackOnSparse(t *testing.T) {
 	r, _ := dataset.ByName("RoadNet", 0.3)
 	o := New()
 	dec := o.Choose(r, r, 1)
-	if !dec.UseWCOJ {
+	if dec.Strategy != joinproject.StrategyWCOJ {
 		t.Fatalf("sparse instance should fall back to WCOJ (outJoin=%d, N=%d)", dec.OutJoin, r.Size())
 	}
 }
@@ -116,7 +116,7 @@ func TestChoosePartitionsOnDense(t *testing.T) {
 	r, _ := dataset.ByName("Image", 0.4)
 	o := New()
 	dec := o.Choose(r, r, 1)
-	if dec.UseWCOJ {
+	if dec.Strategy == joinproject.StrategyWCOJ {
 		t.Fatalf("dense instance should not fall back (outJoin=%d, N=%d)", dec.OutJoin, r.Size())
 	}
 	if dec.Delta1 < 1 || dec.Delta2 < 1 {
@@ -136,7 +136,7 @@ func TestChosenThresholdsNearGridOptimum(t *testing.T) {
 	r, _ := dataset.ByName("Jokes", 0.2)
 	o := New()
 	dec := o.Choose(r, r, 1)
-	if dec.UseWCOJ {
+	if dec.Strategy == joinproject.StrategyWCOJ {
 		t.Skip("optimizer chose WCOJ for this scale")
 	}
 	ix := BuildIndexes(r, r)
@@ -161,7 +161,7 @@ func TestChooseCorrectnessEndToEnd(t *testing.T) {
 	o := New()
 	dec := o.Choose(r, s, 2)
 	var got [][2]int32
-	if dec.UseWCOJ {
+	if dec.Strategy == joinproject.StrategyWCOJ {
 		got = joinproject.TwoPathMM(r, s, joinproject.Options{Delta1: r.Size() + 1, Delta2: r.Size() + 1})
 	} else {
 		got = joinproject.TwoPathMM(r, s, joinproject.Options{Delta1: dec.Delta1, Delta2: dec.Delta2})
@@ -183,17 +183,17 @@ func TestChooseStar(t *testing.T) {
 	r, _ := dataset.ByName("Jokes", 0.15)
 	o := New()
 	dec := o.ChooseStar([]*relation.Relation{r, r, r}, 1)
-	if !dec.UseWCOJ {
+	if dec.Strategy != joinproject.StrategyWCOJ {
 		if dec.Delta1 < 1 || dec.Delta2 < 1 {
 			t.Fatalf("star thresholds (%d, %d) invalid", dec.Delta1, dec.Delta2)
 		}
 	}
 	sparse, _ := dataset.ByName("RoadNet", 0.2)
 	dec = o.ChooseStar([]*relation.Relation{sparse, sparse, sparse}, 1)
-	if !dec.UseWCOJ {
+	if dec.Strategy != joinproject.StrategyWCOJ {
 		t.Fatal("sparse star should fall back to WCOJ")
 	}
-	if dec := o.ChooseStar(nil, 1); !dec.UseWCOJ {
+	if dec := o.ChooseStar(nil, 1); dec.Strategy != joinproject.StrategyWCOJ {
 		t.Fatal("empty star should fall back")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/joinproject"
 	"repro/internal/relation"
 )
 
@@ -138,7 +139,7 @@ func TestDecisionMargins(t *testing.T) {
 	r := pathRelation("R", 64)
 	s := pathRelation("S", 64)
 	dec := o.Choose(r, s, 1)
-	if !dec.UseWCOJ {
+	if dec.Strategy != joinproject.StrategyWCOJ {
 		t.Fatalf("sparse chain should take the WCOJ guard, got %+v", dec)
 	}
 	if dec.PredictedCost <= 0 {

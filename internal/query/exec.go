@@ -54,25 +54,19 @@ type Result struct {
 	Plan   *Plan
 }
 
-// optPlanner adapts the Section-5 cost-based optimizer to the acyclic
-// composition Planner interface.
-type optPlanner struct {
-	opt *optimizer.Optimizer
-}
-
-func (p optPlanner) ChooseCompose(l, r *relation.Relation, workers int) acyclic.ComposeDecision {
-	d := p.opt.DecideCompose(l, r, workers)
-	cd := acyclic.ComposeDecision{
-		EstOut: d.EstOut, OutJoin: d.OutJoin,
-		PredictedNs: d.PredictedCost, Margin: d.Margin, NearMargin: d.NearMargin,
+// planFold plans composing (l, r) as acyclic.Compose runs it: the
+// opt.Force pin when set, else the optimizer's cost-based choice when there
+// is one and both operands exist (a dry run lacks folded intermediates),
+// else no decision (empty Strategy), leaving Compose's MM default. It
+// returns the decision and opt with the decision pinned in Force and Join,
+// ready for Compose.
+func planFold(o *optimizer.Optimizer, opt acyclic.Options, l, r *relation.Relation) (optimizer.Decision, acyclic.Options) {
+	dec := optimizer.Decision{Strategy: opt.Force, Delta1: opt.Join.Delta1, Delta2: opt.Join.Delta2}
+	if dec.Strategy == "" && o != nil && l != nil && r != nil {
+		dec = o.DecideCompose(l, r, opt.Join.Workers)
 	}
-	if d.UseWCOJ {
-		cd.Strategy = acyclic.StrategyWCOJ
-		return cd
-	}
-	cd.Strategy = acyclic.StrategyMM
-	cd.Delta1, cd.Delta2 = d.Delta1, d.Delta2
-	return cd
+	opt.Force, opt.Join.Delta1, opt.Join.Delta2 = dec.Strategy, dec.Delta1, dec.Delta2
+	return dec, opt
 }
 
 // Execute evaluates the prepared query. The context is checked between plan
@@ -104,7 +98,6 @@ type executor struct {
 	aopt   acyclic.Options
 	opt    *optimizer.Optimizer
 	budget *govern.Budget // per-query materialization budget (nil: unlimited)
-	star   string         // star-node pin: "", "mm" or "nonmm"
 	// pushGroup marks a head of the form (g, COUNT(v)) whose component
 	// structure lets the aggregate run inside the final fold (a weighted
 	// two-path composition) instead of materializing the distinct pairs and
@@ -138,15 +131,8 @@ func (p *Prepared) newExecutor(ctx context.Context, opts ExecOptions, dry bool) 
 		ex.aopt.Join.Stop = func() bool { return ctx.Err() != nil }
 	}
 	switch strategy {
-	case acyclic.StrategyMM, acyclic.StrategyWCOJ, acyclic.StrategyNonMM:
+	case joinproject.StrategyMM, joinproject.StrategyWCOJ, joinproject.StrategyNonMM:
 		ex.aopt.Force = strategy
-		ex.star = strategy
-		if strategy == acyclic.StrategyWCOJ {
-			ex.star = acyclic.StrategyNonMM // the star algorithm's combinatorial twin
-		}
-	}
-	if opts.Optimizer != nil {
-		ex.aopt.Planner = optPlanner{opt: opts.Optimizer}
 	}
 	ex.opt = opts.Optimizer
 	ex.detectGroupPush()
@@ -623,14 +609,20 @@ func (ex *executor) collapse(live []liveEdge, heads map[int]bool) ([]liveEdge, *
 		folded := liveEdge{a: u, b: w}
 		node := &Node{Op: "fold", Rows: -1, Children: []*Node{e1.node, e2.node}}
 		detail := fmt.Sprintf("π[%s, %s] eliminating %s", p.vars[u], p.vars[w], p.vars[v])
+		var dec optimizer.Decision
 		if ex.dry {
-			ex.dryComposeStrategy(r1, r2, node, detail)
+			if dec, _ = planFold(ex.opt, ex.aopt, r1, r2); dec.Strategy == "" {
+				dec.Strategy = "auto"
+				detail += " (decided at run time)"
+			}
 		} else {
 			ex.nodeEvent("fold", detail)
 			t0 := time.Now()
-			rel, step := acyclic.Compose(r1, r2, ex.aopt)
+			var copt acyclic.Options
+			dec, copt = planFold(ex.opt, ex.aopt, r1, r2)
+			rel, ran := acyclic.Compose(r1, r2, copt)
 			node.TimeNs = time.Since(t0).Nanoseconds()
-			foldTotal.With("fold", step.Strategy).Inc()
+			foldTotal.With("fold", ran.Strategy).Inc()
 			// The Stop hook makes Compose return partial output when the
 			// context trips mid-kernel; discard it rather than fold it in.
 			if err := ex.check(); err != nil {
@@ -640,17 +632,14 @@ func (ex *executor) collapse(live []liveEdge, heads map[int]bool) ([]liveEdge, *
 				return nil, nil, err
 			}
 			folded.rel = rel
-			node.Strategy = step.Strategy
-			if step.Strategy == acyclic.StrategyMM {
-				detail += fmt.Sprintf(" Δ1=%d Δ2=%d", step.Delta1, step.Delta2)
-				node.Delta1, node.Delta2 = step.Delta1, step.Delta2
-			}
-			node.EstRows, node.OutJoin = step.EstOut, step.OutJoin
-			node.PredictedNs = step.PredictedNs
-			node.Margin, node.NearMargin = step.Margin, step.NearMargin
-			node.Detail = detail
 			node.Rows = int64(rel.Size())
+			dec.Strategy, dec.Delta1, dec.Delta2 = ran.Strategy, ran.Delta1, ran.Delta2
 		}
+		node.setDecision(dec)
+		if dec.Strategy == joinproject.StrategyMM && dec.Delta1 > 0 {
+			detail += fmt.Sprintf(" Δ1=%d Δ2=%d", dec.Delta1, dec.Delta2)
+		}
+		node.Detail = detail
 		folded.node = node
 		// Replace the two edges with the fold (remove the higher index first).
 		if i1 > i2 {
@@ -686,10 +675,9 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	detail := fmt.Sprintf("γ[%s; COUNT(%s)] eliminating %s (count pushed into fold)",
 		p.vars[g], p.vars[cv], p.vars[v])
 	cr := &compResult{grouped: true, cols: []int{g}, node: node}
-	strategy := acyclic.StrategyMM
-	jopt := ex.aopt.Join
-	if f := ex.aopt.Force; f == acyclic.StrategyWCOJ || f == acyclic.StrategyNonMM {
-		strategy = f
+	strategy := ex.aopt.Force
+	if strategy == "" {
+		strategy = joinproject.StrategyMM
 	}
 	if ex.dry {
 		node.Strategy, node.Detail = strategy, detail
@@ -699,18 +687,9 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	if u == cv {
 		gRel, cvRel = r2, r1
 	}
-	if strategy != acyclic.StrategyMM {
-		// Thresholds that classify everything as light turn the counting
-		// kernel into the plain indexed join with stamp dedup.
-		t := gRel.Size()
-		if cvRel.Size() > t {
-			t = cvRel.Size()
-		}
-		jopt.Delta1, jopt.Delta2 = t+1, t+1
-	}
 	ex.nodeEvent("groupfold", detail)
 	t0 := time.Now()
-	groups := joinproject.TwoPathGroupBy(gRel, cvRel, jopt)
+	groups := joinproject.GroupBy(strategy, gRel, cvRel, ex.aopt.Join)
 	node.TimeNs = time.Since(t0).Nanoseconds()
 	foldTotal.With("groupfold", strategy).Inc()
 	if err := ex.check(); err != nil {
@@ -729,29 +708,6 @@ func (ex *executor) tryGroupedFold(live []liveEdge, e1, e2 liveEdge, v int) (*co
 	node.Strategy, node.Detail = strategy, detail
 	node.Rows = int64(len(groups))
 	return cr, nil
-}
-
-// dryComposeStrategy predicts a fold's strategy without running it, filling
-// the plan node with the optimizer's estimates and decision margin so a
-// predicted-only EXPLAIN already shows why the strategy was picked.
-func (ex *executor) dryComposeStrategy(r1, r2 *relation.Relation, node *Node, detail string) {
-	if ex.aopt.Force != "" {
-		node.Strategy, node.Detail = ex.aopt.Force, detail
-		return
-	}
-	if r1 == nil || r2 == nil || ex.aopt.Planner == nil {
-		node.Strategy, node.Detail = "auto", detail+" (decided at run time)"
-		return
-	}
-	dec := ex.aopt.Planner.ChooseCompose(r1, r2, ex.aopt.Join.Workers)
-	if dec.Strategy == acyclic.StrategyMM {
-		detail += fmt.Sprintf(" Δ1=%d Δ2=%d", dec.Delta1, dec.Delta2)
-		node.Delta1, node.Delta2 = dec.Delta1, dec.Delta2
-	}
-	node.EstRows, node.OutJoin = dec.EstOut, dec.OutJoin
-	node.PredictedNs = dec.PredictedNs
-	node.Margin, node.NearMargin = dec.Margin, dec.NearMargin
-	node.Strategy, node.Detail = dec.Strategy, detail
 }
 
 // orient returns e's relation with variable v on the Y side (asHead=false,
@@ -884,48 +840,31 @@ func (ex *executor) starNode(live []liveEdge, center int) (*compResult, error) {
 		Detail: fmt.Sprintf("center %s leaves [%s]", p.vars[center], strings.Join(leafNames, ", "))}
 	cr := &compResult{cols: leaves, node: node}
 
-	strategy := ex.star
-	jopt := ex.aopt.Join
-	if strategy == "" {
-		if ex.opt != nil && ready {
-			dec := ex.opt.ChooseStar(views, jopt.Workers)
-			node.EstRows, node.OutJoin = dec.EstOut, dec.OutJoin
-			node.PredictedNs = dec.PredictedCost
-			node.Margin, node.NearMargin = dec.Margin, dec.NearMargin
-			if dec.UseWCOJ {
-				strategy = acyclic.StrategyNonMM
-			} else {
-				strategy = acyclic.StrategyMM
-				if jopt.Delta1 == 0 {
-					jopt.Delta1 = dec.Delta1
-				}
-				if jopt.Delta2 == 0 {
-					jopt.Delta2 = dec.Delta2
-				}
-				node.Delta1, node.Delta2 = jopt.Delta1, jopt.Delta2
-			}
-		} else if ready {
-			strategy = acyclic.StrategyMM
+	dec := optimizer.Decision{Strategy: ex.aopt.Force}
+	if dec.Strategy == "" && ready {
+		dec.Strategy = joinproject.StrategyMM
+		if ex.opt != nil {
+			dec = ex.opt.ChooseStar(views, ex.aopt.Join.Workers)
 		}
 	}
 	if ex.dry {
-		if strategy == "" {
-			node.Strategy = "auto"
+		if dec.Strategy == "" {
+			dec.Strategy = "auto"
 			node.Detail += " (decided at run time)"
 		} else {
-			node.Strategy = strategy
+			dec.Strategy = joinproject.StarKernel(dec.Strategy)
 		}
+		node.setDecision(dec)
 		return cr, nil
 	}
-	node.Strategy = strategy
+	jopt := ex.aopt.Join
+	jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
 	ex.nodeEvent("star", node.Detail)
 	t0 := time.Now()
-	if strategy == acyclic.StrategyNonMM {
-		cr.rows = joinproject.StarNonMM(views, jopt)
-	} else {
-		cr.rows = joinproject.StarMM(views, jopt)
-	}
+	cr.rows, jopt = joinproject.Star(dec.Strategy, views, jopt)
 	node.TimeNs = time.Since(t0).Nanoseconds()
+	dec.Strategy, dec.Delta1, dec.Delta2 = joinproject.StarKernel(dec.Strategy), jopt.Delta1, jopt.Delta2
+	node.setDecision(dec)
 	foldTotal.With("star", node.Strategy).Inc()
 	if err := ex.check(); err != nil {
 		return nil, err
@@ -974,7 +913,7 @@ func (ex *executor) enumerate(c *component, live []liveEdge, heads map[int]bool)
 	}
 	cols := colsOf(root, -1)
 
-	node := &Node{Op: "enumerate", Strategy: acyclic.StrategyWCOJ, Rows: -1,
+	node := &Node{Op: "enumerate", Strategy: joinproject.StrategyWCOJ, Rows: -1,
 		Detail: "tree backtracking + dedup over " + varNames(p.vars, c.vars)}
 	for i := range live {
 		node.Children = append(node.Children, live[i].node)
@@ -1035,7 +974,7 @@ func (ex *executor) enumerate(c *component, live []liveEdge, heads map[int]bool)
 	cr.rows = out
 	node.Rows = int64(len(out))
 	node.TimeNs = time.Since(t0).Nanoseconds()
-	foldTotal.With("enumerate", acyclic.StrategyWCOJ).Inc()
+	foldTotal.With("enumerate", joinproject.StrategyWCOJ).Inc()
 	return cr, nil
 }
 

@@ -300,7 +300,7 @@ func (p *Prepared) materializeBag(ctx context.Context, c *component, bagVars, ne
 		return nil, err
 	}
 	bg.rows = rows
-	bg.strategy = acyclic.StrategyWCOJ
+	bg.strategy = joinproject.StrategyWCOJ
 	return bg, nil
 }
 
@@ -347,14 +347,16 @@ func (p *Prepared) foldBag(bagVars, needed []int, inBag []*edge, hasUnary map[in
 	if eMB.a != m {
 		r = r.Swap()
 	}
-	opt := acyclic.Options{Join: joinproject.Options{}}
+	var opt acyclic.Options
+	var o *optimizer.Optimizer
 	switch p.Query.Hints.Strategy {
-	case acyclic.StrategyMM, acyclic.StrategyWCOJ, acyclic.StrategyNonMM:
+	case joinproject.StrategyMM, joinproject.StrategyWCOJ, joinproject.StrategyNonMM:
 		opt.Force = p.Query.Hints.Strategy
 	default:
-		opt.Planner = optPlanner{opt: bagOptimizer()}
+		o = bagOptimizer()
 	}
-	v, step := acyclic.Compose(l, r, opt)
+	_, opt = planFold(o, opt, l, r)
+	v, ran := acyclic.Compose(l, r, opt)
 
 	var ch *relation.Relation
 	if chord != nil {
@@ -370,7 +372,7 @@ func (p *Prepared) foldBag(bagVars, needed []int, inBag []*edge, hasUnary map[in
 		}
 		rows = append(rows, []int32{pr.X, pr.Y})
 	}
-	return rows, step.Strategy, true
+	return rows, ran.Strategy, true
 }
 
 // enumerateBag materializes a bag by backtracking over its variables in a

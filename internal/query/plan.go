@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/optimizer"
 )
 
 // Node is one operator of an explainable plan tree.
@@ -45,6 +47,16 @@ type Node struct {
 	Delta1, Delta2 int
 	// Children are the operator inputs.
 	Children []*Node
+}
+
+// setDecision copies a plan decision onto the node: the strategy, the
+// thresholds, the estimates, the predicted cost and the margin.
+func (n *Node) setDecision(d optimizer.Decision) {
+	n.Strategy = d.Strategy
+	n.Delta1, n.Delta2 = d.Delta1, d.Delta2
+	n.EstRows, n.OutJoin = d.EstOut, d.OutJoin
+	n.PredictedNs = d.PredictedCost
+	n.Margin, n.NearMargin = d.Margin, d.NearMargin
 }
 
 // CostErr returns the node's actual/predicted cost ratio, or 0 when either

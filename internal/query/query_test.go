@@ -2,11 +2,13 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/joinproject"
 	"repro/internal/optimizer"
 	"repro/internal/relation"
 )
@@ -303,6 +305,38 @@ func TestStrategyHintsHonored(t *testing.T) {
 		if !strings.Contains(res.Plan.String(), "strategy="+strat) {
 			t.Fatalf("strategy %s not reported in plan:\n%s", strat, res.Plan)
 		}
+	}
+}
+
+// TestForcedMMFoldReportsThresholds pins the thresholds a forced-mm fold
+// reports to the ones its kernel ran with: the Section-3.1 closed forms of
+// the two operands, Algorithm 1 taking the right one swapped to (z, y).
+func TestForcedMMFoldReportsThresholds(t *testing.T) {
+	var rp, sp [][2]int32
+	for x := int32(0); x < 40; x++ {
+		for k := int32(0); k < 6; k++ {
+			rp = append(rp, [2]int32{x, (x*7 + k) % 24})
+			sp = append(sp, [2]int32{(x*5 + k) % 24, x})
+		}
+	}
+	rels := map[string]*relation.Relation{"R": rel(t, "R", rp...), "S": rel(t, "S", sp...)}
+	res := evalText(t, "Q(x, z) :- R(x, y), S(y, z) WITH strategy=mm", rels)
+	d1, d2 := joinproject.HeuristicThresholds(rels["R"], rels["S"].Swap())
+	var folds int
+	res.Plan.Walk(func(n *Node) {
+		if n.Op != "fold" {
+			return
+		}
+		folds++
+		if n.Strategy != joinproject.StrategyMM || n.Delta1 != d1 || n.Delta2 != d2 {
+			t.Errorf("fold node strategy=%s Δ1=%d Δ2=%d, want mm Δ1=%d Δ2=%d", n.Strategy, n.Delta1, n.Delta2, d1, d2)
+		}
+		if want := fmt.Sprintf("Δ1=%d Δ2=%d", d1, d2); !strings.Contains(n.Detail, want) {
+			t.Errorf("fold detail %q lacks %q", n.Detail, want)
+		}
+	})
+	if folds != 1 {
+		t.Fatalf("want one fold node, got %d:\n%s", folds, res.Plan)
 	}
 }
 

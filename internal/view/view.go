@@ -270,29 +270,20 @@ func (v *View) twoPathKernelDelta(j int, added, removed []relation.Pair, other *
 		}
 		delta := relation.FromPairs("Δ"+sj.rel, orientPairs(pairs, sj, headJ))
 		jopt := joinproject.Options{Workers: v.workers}
-		strat := "mm"
+		strat := joinproject.StrategyMM
 		if v.opt != nil {
 			dec := v.opt.Choose(delta, otherOriented, v.workers)
-			if dec.UseWCOJ {
-				strat = "wcoj"
-				t := delta.Size()
-				if otherOriented.Size() > t {
-					t = otherOriented.Size()
-				}
-				jopt.Delta1, jopt.Delta2 = t+1, t+1
-			} else {
-				jopt.Delta1, jopt.Delta2 = dec.Delta1, dec.Delta2
-			}
+			strat, jopt.Delta1, jopt.Delta2 = dec.Strategy, dec.Delta1, dec.Delta2
 		}
 		v.lastStrats = append(v.lastStrats,
 			fmt.Sprintf("Δ%s slot=%d %s |Δ|=%d", sj.rel, j, strat, delta.Size()))
-		if strat == "mm" {
+		if strat == joinproject.StrategyMM {
 			stratKernelMM.Inc()
 		} else {
 			stratKernelWCOJ.Inc()
 		}
 		head := make([]int32, len(plan.headVars))
-		for _, pc := range joinproject.TwoPathMMCounts(delta, otherOriented, jopt) {
+		for _, pc := range joinproject.TwoPathCounts(strat, delta, otherOriented, jopt) {
 			head[posJ], head[posO] = pc.X, pc.Z
 			v.bump(head, sign*int64(pc.Count))
 		}
