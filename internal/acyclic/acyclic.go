@@ -64,8 +64,9 @@ type Options struct {
 	Join joinproject.Options
 	// Order selects the fold order for chains.
 	Order Order
-	// Force pins every composition to one strategy (StrategyMM, StrategyWCOJ
-	// or StrategyNonMM). Empty runs StrategyMM.
+	// Force pins every composition, and a snowflake's star step, to one
+	// strategy (StrategyMM, StrategyWCOJ or StrategyNonMM). Empty runs
+	// StrategyMM.
 	Force string
 }
 

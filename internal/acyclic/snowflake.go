@@ -13,9 +13,10 @@ import (
 // projection onto the arm leaves: π_{leaf_1..leaf_k}.
 //
 // Each arm is first folded into a (center, leaf) view with the chain
-// evaluator, then the views are combined with the Section-3.2 star
-// algorithm (joining on the center). Projections are pushed through every
-// level, so no intermediate exceeds its own projected size.
+// evaluator, then the views are combined with the star kernel of opt.Force
+// (joining on the center): the Section-3.2 algorithm, or the combinatorial
+// enumeration under StrategyWCOJ and StrategyNonMM. Projections are pushed
+// through every level, so no intermediate exceeds its own projected size.
 func SnowflakeProject(arms [][]*relation.Relation, opt Options) ([][]int32, error) {
 	if len(arms) == 0 {
 		return nil, fmt.Errorf("acyclic: snowflake with no arms")
@@ -42,7 +43,8 @@ func SnowflakeProject(arms [][]*relation.Relation, opt Options) ([][]int32, erro
 		}
 		return out, nil
 	}
-	return joinproject.StarMM(views, opt.Join), nil
+	tuples, _ := joinproject.Star(opt.Force, views, opt.Join)
+	return tuples, nil
 }
 
 // Reachable reports whether any path instance connects head value a to tail

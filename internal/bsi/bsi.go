@@ -30,7 +30,8 @@ type Query struct {
 
 // Options configures batch evaluation.
 type Options struct {
-	// UseMM selects Algorithm 1 (true) or the combinatorial Non-MM join.
+	// UseMM selects Algorithm 1 (true) or the worst-case optimal join with
+	// dedup, Algorithm 1 with every value light (false).
 	UseMM bool
 	// Workers bounds parallelism (≤ 0: all cores).
 	Workers int
@@ -59,37 +60,28 @@ func AnswerBatch(r, s *relation.Relation, batch []Query, opt Options) []bool {
 	}
 	rf := r.RestrictXSet(as)
 	sf := s.RestrictXSet(bs)
+	strategy := joinproject.StrategyMM
+	if !opt.UseMM {
+		strategy = joinproject.StrategyWCOJ
+	}
+	// Stream the filtered join-project and mark only the pairs the batch
+	// asked about; the projected output — which can dwarf the batch — is
+	// never materialized.
+	want := make(map[[2]int32]struct{}, len(batch))
+	for _, q := range batch {
+		want[[2]int32{q.A, q.B}] = struct{}{}
+	}
+	hit := make(map[[2]int32]struct{}, len(batch))
+	var mu sync.Mutex
+	joinproject.TwoPathVisit(strategy, rf, sf, joinproject.Options{Workers: opt.Workers}, func(x, z, _ int32) {
+		key := [2]int32{x, z}
+		if _, ok := want[key]; ok {
+			mu.Lock()
+			hit[key] = struct{}{}
+			mu.Unlock()
+		}
+	})
 	out := make([]bool, len(batch))
-	if opt.UseMM {
-		// Stream the filtered join-project and mark only the pairs the batch
-		// asked about; the projected output — which can dwarf the batch — is
-		// never materialized.
-		want := make(map[[2]int32]struct{}, len(batch))
-		for _, q := range batch {
-			want[[2]int32{q.A, q.B}] = struct{}{}
-		}
-		hit := make(map[[2]int32]struct{}, len(batch))
-		var mu sync.Mutex
-		joinproject.TwoPathMMVisit(rf, sf, joinproject.Options{Workers: opt.Workers}, func(x, z, _ int32) {
-			key := [2]int32{x, z}
-			if _, ok := want[key]; ok {
-				mu.Lock()
-				hit[key] = struct{}{}
-				mu.Unlock()
-			}
-		})
-		for i, q := range batch {
-			_, out[i] = hit[[2]int32{q.A, q.B}]
-		}
-		return out
-	}
-	// Combinatorial: all values light (pure WCOJ expansion with dedup).
-	n := rf.Size() + sf.Size() + 1
-	pairs := joinproject.TwoPathNonMM(rf, sf, joinproject.Options{Delta1: n, Delta2: n, Workers: opt.Workers})
-	hit := make(map[[2]int32]struct{}, len(pairs))
-	for _, p := range pairs {
-		hit[p] = struct{}{}
-	}
 	for i, q := range batch {
 		_, out[i] = hit[[2]int32{q.A, q.B}]
 	}

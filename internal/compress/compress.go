@@ -3,7 +3,9 @@
 // representation of V(x, z) = π_{x,z}(R(x,y) ⋈ S(z,y)) that can be queried
 // without materializing the full result.
 //
-// The representation falls directly out of Algorithm 1's partition:
+// The representation is Algorithm 1's partition as internal/joinproject
+// computes it (joinproject.Factorize runs the 2-path sweep with the
+// all-heavy residual left unmultiplied):
 //
 //   - the light part of the output (pairs with a light-category witness) is
 //     stored explicitly, grouped by x with sorted z lists (CSR layout);
@@ -21,8 +23,9 @@
 package compress
 
 import (
+	"cmp"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/joinproject"
 	"repro/internal/matrix"
@@ -38,10 +41,8 @@ type View struct {
 	zs  []int32 // concatenated sorted z lists
 
 	// Heavy factorization: row i of m1 is heavy-x hx[i]'s heavy-y bitset;
-	// row j of m2 is heavy-z hz[j]'s heavy-y bitset.
+	// row j of m2 is heavy-z hz[j]'s heavy-y bitset. hx and hz ascend.
 	hx, hz []int32
-	hxPos  map[int32]int
-	hzPos  map[int32]int
 	m1, m2 *matrix.BitMatrix
 
 	lightPairs int64
@@ -57,146 +58,26 @@ type Options struct {
 
 // Build constructs the compressed view of π_{x,z}(R ⋈ S).
 func Build(r, s *relation.Relation, opt Options) *View {
-	d1, d2 := opt.Delta1, opt.Delta2
-	if d1 <= 0 || d2 <= 0 {
-		h1, h2 := joinproject.HeuristicThresholds(r, s)
-		if d1 <= 0 {
-			d1 = h1
-		}
-		if d2 <= 0 {
-			d2 = h2
-		}
-	}
-	v := &View{hxPos: map[int32]int{}, hzPos: map[int32]int{}}
+	slots := make([][][2]int32, par.Workers(opt.Workers))
+	f := joinproject.Factorize(r, s, joinproject.Options{Delta1: opt.Delta1, Delta2: opt.Delta2, Workers: opt.Workers},
+		func(w int, x, z int32) { slots[w] = append(slots[w], [2]int32{x, z}) })
+	v := &View{hx: f.HX, hz: f.HZ, m1: f.M1, m2: f.M2}
 
-	// Heavy y columns (degree in S above Δ1).
-	sy := s.ByY()
-	colOf := make(map[int32]int)
-	for i := 0; i < sy.NumKeys(); i++ {
-		if sy.Degree(i) > d1 {
-			colOf[sy.Key(i)] = len(colOf)
-		}
-	}
-	rx, sx := r.ByX(), s.ByX()
-	// Heavy x rows: heavy degree and at least one heavy-y neighbour.
-	for i := 0; i < rx.NumKeys(); i++ {
-		if rx.Degree(i) <= d2 {
-			continue
-		}
-		for _, y := range rx.List(i) {
-			if _, ok := colOf[y]; ok {
-				v.hxPos[rx.Key(i)] = len(v.hx)
-				v.hx = append(v.hx, rx.Key(i))
-				break
-			}
-		}
-	}
-	for i := 0; i < sx.NumKeys(); i++ {
-		if sx.Degree(i) <= d2 {
-			continue
-		}
-		for _, y := range sx.List(i) {
-			if _, ok := colOf[y]; ok {
-				v.hzPos[sx.Key(i)] = len(v.hz)
-				v.hz = append(v.hz, sx.Key(i))
-				break
-			}
-		}
-	}
-	v.m1 = matrix.NewBitMatrix(len(v.hx), len(colOf))
-	for i, x := range v.hx {
-		for _, y := range rx.Lookup(x) {
-			if c, ok := colOf[y]; ok {
-				v.m1.Set(i, c)
-			}
-		}
-	}
-	v.m2 = matrix.NewBitMatrix(len(v.hz), len(colOf))
-	for j, z := range v.hz {
-		for _, y := range sx.Lookup(z) {
-			if c, ok := colOf[y]; ok {
-				v.m2.Set(j, c)
-			}
-		}
-	}
-
-	// Explicit part: pairs with at least one light-category witness.
-	byX := map[int32][]int32{}
-	var mu sync.Mutex
-	lightOnly(r, s, d1, d2, opt.Workers, func(x, z int32) {
-		mu.Lock()
-		byX[x] = append(byX[x], z)
-		mu.Unlock()
+	// Explicit part: the distinct light-category pairs, sorted into CSR.
+	pairs := slices.Concat(slots...)
+	slices.SortFunc(pairs, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
-	xs := make([]int32, 0, len(byX))
-	for x := range byX {
-		xs = append(xs, x)
+	for i, p := range pairs {
+		if i == 0 || p[0] != pairs[i-1][0] {
+			v.xs = append(v.xs, p[0])
+			v.off = append(v.off, int32(i))
+		}
+		v.zs = append(v.zs, p[1])
 	}
-	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-	v.off = append(v.off, 0)
-	for _, x := range xs {
-		zl := byX[x]
-		sort.Slice(zl, func(a, b int) bool { return zl[a] < zl[b] })
-		v.xs = append(v.xs, x)
-		v.zs = append(v.zs, zl...)
-		v.off = append(v.off, int32(len(v.zs)))
-		v.lightPairs += int64(len(zl))
-	}
+	v.off = append(v.off, int32(len(pairs)))
+	v.lightPairs = int64(len(pairs))
 	return v
-}
-
-// lightOnly streams the distinct pairs that have at least one
-// light-category witness (categories 1–3 of Algorithm 1): light y, or
-// light x, or light z under a heavy x and heavy y. emit may be called
-// concurrently.
-func lightOnly(r, s *relation.Relation, d1, d2, workers int, emit func(x, z int32)) {
-	rx, sx, sy := r.ByX(), s.ByX(), s.ByY()
-	// Positional lists for stamping.
-	posByY := make([][]int32, sy.NumKeys())
-	lightByY := make([][]int32, sy.NumKeys())
-	for i := 0; i < sy.NumKeys(); i++ {
-		list := sy.List(i)
-		pos := make([]int32, len(list))
-		for j, z := range list {
-			pos[j] = int32(sx.Pos(z))
-		}
-		posByY[i] = pos
-		if sy.Degree(i) > d1 {
-			var light []int32
-			for _, zp := range pos {
-				if sx.Degree(int(zp)) <= d2 {
-					light = append(light, zp)
-				}
-			}
-			lightByY[i] = light
-		}
-	}
-	par.ForChunks(rx.NumKeys(), workers, func(lo, hi int) {
-		stamp := make([]int32, sx.NumKeys())
-		for i := lo; i < hi; i++ {
-			x := rx.Key(i)
-			epoch := int32(i + 1)
-			xHeavy := rx.Degree(i) > d2
-			for _, y := range rx.List(i) {
-				yp := sy.Pos(y)
-				if yp < 0 {
-					continue
-				}
-				var cand []int32
-				if sy.Degree(yp) <= d1 || !xHeavy {
-					cand = posByY[yp]
-				} else {
-					cand = lightByY[yp]
-				}
-				for _, zp := range cand {
-					if stamp[zp] != epoch {
-						stamp[zp] = epoch
-						emit(x, sx.Key(int(zp)))
-					}
-				}
-			}
-		}
-	})
 }
 
 // lightList returns the explicit z list for x, or nil.
@@ -216,11 +97,11 @@ func (v *View) Contains(x, z int32) bool {
 	if j < len(list) && list[j] == z {
 		return true
 	}
-	i, ok := v.hxPos[x]
+	i, ok := slices.BinarySearch(v.hx, x)
 	if !ok {
 		return false
 	}
-	k, ok := v.hzPos[z]
+	k, ok := slices.BinarySearch(v.hz, z)
 	if !ok {
 		return false
 	}

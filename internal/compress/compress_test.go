@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +145,84 @@ func TestQuickViewCorrect(t *testing.T) {
 		for p := range want {
 			if !got[p] || !v.Contains(p[0], p[1]) {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the view's partition is Algorithm 1's, recomputed by brute force
+// from the degree definitions. With Δ1 = Δ2 = Δ: LightPairs counts the
+// distinct (x, z) with a witness y where deg_S(y) ≤ Δ, deg_R(x) ≤ Δ or
+// deg_S(z) ≤ Δ; HeavyCols counts the y with deg_S(y) > Δ; HeavyRows and
+// HeavyZRows count the x (in R) and z (in S) of degree > Δ with a heavy-y
+// neighbour; and a heavy x and heavy z rows intersect iff they share a
+// heavy y.
+func TestQuickFactorizationMatchesDefinition(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := randomRel(rng, "R", 1+rng.Intn(200), 1+rng.Intn(30), 1+rng.Intn(15))
+		s := randomRel(rng, "S", 1+rng.Intn(200), 1+rng.Intn(30), 1+rng.Intn(15))
+		degR, degSz, degSy := map[int32]int{}, map[int32]int{}, map[int32]int{}
+		for _, p := range r.Pairs() {
+			degR[p.X]++
+		}
+		for _, p := range s.Pairs() {
+			degSz[p.X]++
+			degSy[p.Y]++
+		}
+		for _, d := range []int{1, 2, 4, r.Size() + s.Size() + 1} {
+			heavyY := func(y int32) bool { return degSy[y] > d }
+			light := map[[2]int32]bool{}
+			shared := map[[2]int32]bool{} // heavy x, heavy z sharing a heavy y
+			for _, rp := range r.Pairs() {
+				for _, sp := range s.Pairs() {
+					if rp.Y != sp.Y {
+						continue
+					}
+					if !heavyY(rp.Y) || degR[rp.X] <= d || degSz[sp.X] <= d {
+						light[[2]int32{rp.X, sp.X}] = true
+					} else {
+						shared[[2]int32{rp.X, sp.X}] = true
+					}
+				}
+			}
+			heavyRows := func(pairs []relation.Pair, deg map[int32]int) []int32 {
+				var out []int32
+				for _, p := range pairs {
+					if deg[p.X] > d && heavyY(p.Y) && !slices.Contains(out, p.X) {
+						out = append(out, p.X)
+					}
+				}
+				slices.Sort(out)
+				return out
+			}
+			hx, hz := heavyRows(r.Pairs(), degR), heavyRows(s.Pairs(), degSz)
+			cols := 0
+			for y := range degSy {
+				if heavyY(y) {
+					cols++
+				}
+			}
+			v := Build(r, s, Options{Delta1: d, Delta2: d, Workers: 2})
+			st := v.Stats()
+			if st.LightPairs != int64(len(light)) || st.HeavyCols != cols ||
+				!slices.Equal(v.hx, hx) || !slices.Equal(v.hz, hz) ||
+				st.HeavyRows != len(hx) || st.HeavyZRows != len(hz) {
+				t.Logf("seed %d Δ=%d: stats %+v hx %v hz %v; want light %d cols %d hx %v hz %v",
+					seed, d, st, v.hx, v.hz, len(light), cols, hx, hz)
+				return false
+			}
+			for i, x := range hx {
+				for j, z := range hz {
+					if v.m1.Row(i).Intersects(v.m2.Row(j)) != shared[[2]int32{x, z}] {
+						t.Logf("seed %d Δ=%d: factor rows of (%d, %d) disagree with the shared heavy ys", seed, d, x, z)
+						return false
+					}
+				}
 			}
 		}
 		return true

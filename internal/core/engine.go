@@ -279,7 +279,7 @@ func (e *Engine) IntersectBatch(r, s *relation.Relation, queries []bsi.Query) []
 // GroupByCount evaluates γ_{x; COUNT(DISTINCT z), COUNT(*)}(R ⋈ S)
 // output-sensitively, never materializing the join.
 func (e *Engine) GroupByCount(r, s *relation.Relation) []joinproject.GroupCount {
-	return joinproject.TwoPathGroupBy(r, s, joinproject.Options{
+	return joinproject.GroupBy(e.pin(), r, s, joinproject.Options{
 		Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers,
 	})
 }
@@ -314,7 +314,8 @@ func (e *Engine) CompressView(r, s *relation.Relation) *compress.View {
 // join-projects (the acyclic-queries extension).
 func (e *Engine) PathProject(rels []*relation.Relation) ([][2]int32, error) {
 	return acyclic.PathProject(rels, acyclic.Options{
-		Join: joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers},
+		Join:  joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers},
+		Force: e.pin(),
 	})
 }
 
@@ -322,8 +323,19 @@ func (e *Engine) PathProject(rels []*relation.Relation) ([][2]int32, error) {
 // onto the arm leaves.
 func (e *Engine) SnowflakeProject(arms [][]*relation.Relation) ([][]int32, error) {
 	return acyclic.SnowflakeProject(arms, acyclic.Options{
-		Join: joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers},
+		Join:  joinproject.Options{Delta1: e.cfg.Delta1, Delta2: e.cfg.Delta2, Workers: e.cfg.Workers},
+		Force: e.pin(),
 	})
+}
+
+// pin names the strategy the engine pins for calls that take no optimizer
+// decision (acyclic folds, group-by): the forced strategy, or "" under Auto,
+// which runs Algorithm 1.
+func (e *Engine) pin() string {
+	if e.cfg.Strategy == Auto {
+		return ""
+	}
+	return e.cfg.Strategy.String()
 }
 
 // Catalog exposes the engine's relation catalog: named registration,

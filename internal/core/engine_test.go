@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bsi"
 	"repro/internal/dataset"
+	"repro/internal/joinproject"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -300,6 +301,64 @@ func TestJoinProjectVisit(t *testing.T) {
 			if got[p] != c {
 				t.Fatalf("%s: pair %v count %d, want %d", tc.name, p, got[p], c)
 			}
+		}
+	}
+}
+
+// TestStrategyPinReachesAcyclicCalls checks that the engine's strategy pin
+// reaches SnowflakeProject, PathProject and GroupByCount: the combinatorial
+// pins must run no matrix kernel for the snowflake's star step, and every pin
+// must return ForceMM's result.
+func TestStrategyPinReachesAcyclicCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	var arms [][]*relation.Relation
+	for i := 0; i < 3; i++ {
+		arms = append(arms, []*relation.Relation{
+			randomRel(rng, "A", 120, 10, 6), randomRel(rng, "B", 120, 6, 12),
+		})
+	}
+	chain := []*relation.Relation{arms[0][0], arms[0][1].Swap(), arms[1][1]}
+	kernelCalls := obs.Default().CounterVec("joinmm_kernel_calls_total", "", "kernel")
+	matrixCalls := func() uint64 {
+		return kernelCalls.With("mulbitcount").Value() + kernelCalls.With("roweachproduct").Value()
+	}
+	sorted := func(xs [][]int32) [][]int32 {
+		slices.SortFunc(xs, slices.Compare)
+		return xs
+	}
+	run := func(s Strategy) (snow [][]int32, calls uint64, path [][2]int32, groups []joinproject.GroupCount) {
+		eng := NewEngine(WithWorkers(2), WithStrategy(s))
+		before := matrixCalls()
+		snow, err := eng.SnowflakeProject(arms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = matrixCalls() - before
+		if path, err = eng.PathProject(chain); err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(path, func(a, b [2]int32) int { return slices.Compare(a[:], b[:]) })
+		groups = eng.GroupByCount(arms[0][0], arms[1][0])
+		slices.SortFunc(groups, func(a, b joinproject.GroupCount) int { return int(a.X - b.X) })
+		return sorted(snow), calls, path, groups
+	}
+	wantSnow, mmCalls, wantPath, wantGroups := run(ForceMM)
+	if mmCalls == 0 {
+		t.Fatal("ForceMM snowflake ran no matrix kernel; the instance does not reach the star's matrix step")
+	}
+	for _, s := range []Strategy{ForceNonMM, ForceWCOJ} {
+		snow, calls, path, groups := run(s)
+		if calls != 0 {
+			t.Errorf("%s: snowflake ran %d matrix kernel calls", s, calls)
+		}
+		if !slices.EqualFunc(snow, wantSnow, slices.Equal) {
+			t.Errorf("%s: snowflake has %d tuples, ForceMM %d, or they differ", s, len(snow), len(wantSnow))
+		}
+		if !slices.Equal(path, wantPath) {
+			t.Errorf("%s: path query differs from ForceMM's", s)
+		}
+		if !slices.Equal(groups, wantGroups) {
+			t.Errorf("%s: group-by differs from ForceMM's", s)
 		}
 	}
 }

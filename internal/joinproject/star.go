@@ -92,13 +92,14 @@ type starCtx struct {
 	stop        func() bool // polled at block boundaries; nil = never stop
 }
 
-func newStarCtx(rels []*relation.Relation, d1, d2 int) *starCtx {
-	c := &starCtx{rels: rels, k: len(rels), d1: d1, d2: d2}
+// newStarCtx partitions rels with opt's thresholds, which must be resolved.
+func newStarCtx(rels []*relation.Relation, opt Options) *starCtx {
+	c := &starCtx{rels: rels, k: len(rels), d1: opt.Delta1, d2: opt.Delta2, stop: opt.Stop}
 	c.ys = relation.CommonYs(rels...)
 	c.yHeavyCount = make([]int8, len(c.ys))
 	for i, y := range c.ys {
 		for _, r := range rels {
-			if len(r.ByY().Lookup(y)) > d1 {
+			if len(r.ByY().Lookup(y)) > c.d1 {
 				c.yHeavyCount[i]++
 			}
 		}
@@ -260,51 +261,12 @@ func (c *starCtx) buildGroupMatrix(jlo, jhi int, yCols map[int32]int) (rows [][]
 	return rows, bm
 }
 
-// runStar evaluates Q★k with the MM (useMM=true) or combinatorial strategy
-// and streams each distinct projected tuple to emit (called from multiple
-// goroutines; the tuple slice is owned by the callee).
-func (c *starCtx) runStar(workers int, useMM bool, emit func(xs []int32)) {
-	dedup := newTupleSet()
-	keyed := func(sc *starScratch, xs []int32) {
-		// The scratch's key buffer is reused across every tuple the worker
-		// produces; only genuinely new tuples allocate (the emitted copy).
-		sc.key = packTuple(sc.key, xs)
-		if dedup.insert(sc.key) {
-			cp := make([]int32, len(xs))
-			copy(cp, xs)
-			emit(cp)
-		}
-	}
-	if !useMM {
-		// Combinatorial baseline: enumerate the full join and deduplicate.
-		par.ForChunks(len(c.ys), workers, func(lo, hi int) {
-			sc := getStarScratch(c.k)
-			defer putStarScratch(sc)
-			xs := sc.xs
-			lists := make([][]int32, c.k)
-			for i := lo; i < hi; i++ {
-				if c.stop != nil && i&63 == 0 && c.stop() {
-					return
-				}
-				y := c.ys[i]
-				ok := true
-				for j, r := range c.rels {
-					lists[j] = r.ByY().Lookup(y)
-					if len(lists[j]) == 0 {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					crossEmit(lists, xs, 0, func() { keyed(sc, xs) })
-				}
-			}
-		})
-		return
-	}
-	// Step 1+2: everything with a light component.
-	c.enumerateLight(workers, keyed)
-	// Step 3: all-heavy tuples via the grouped matrix product V × Wᵀ.
+// heavyProduct is step 3 of the Section-3.2 algorithm: the grouped matrix
+// product V × Wᵀ over the y values heavy in at least two relations. visit
+// receives each all-heavy tuple with its number of shared heavy-eligible y
+// values, plus the scratch of the product row that produced it; it is called
+// from multiple goroutines.
+func (c *starCtx) heavyProduct(workers int, visit func(sc *starScratch, xs []int32, n int32)) {
 	yCols := make(map[int32]int)
 	for i, y := range c.ys {
 		if c.yHeavyCount[i] >= 2 {
@@ -332,51 +294,67 @@ func (c *starCtx) runStar(workers int, useMM bool, emit func(xs []int32)) {
 			}
 			copy(xs, rowsA[i])
 			copy(xs[g:], rowsB[j])
-			keyed(sc, xs)
+			visit(sc, xs, n)
 		}
 		putStarScratch(sc)
 	})
 }
 
+// runStar evaluates Q★k and streams each distinct projected tuple to emit
+// (called from multiple goroutines; the tuple slice is owned by the callee).
+// Under all-light thresholds step 3 finds no heavy y and the sweep is the
+// combinatorial plan: the full join enumerated and deduplicated.
+func (c *starCtx) runStar(workers int, emit func(xs []int32)) {
+	dedup := newTupleSet()
+	keyed := func(sc *starScratch, xs []int32) {
+		// The scratch's key buffer is reused across every tuple the worker
+		// produces; only genuinely new tuples allocate (the emitted copy).
+		sc.key = packTuple(sc.key, xs)
+		if dedup.insert(sc.key) {
+			cp := make([]int32, len(xs))
+			copy(cp, xs)
+			emit(cp)
+		}
+	}
+	// Step 1+2: everything with a light component.
+	c.enumerateLight(workers, keyed)
+	// Step 3: all-heavy tuples.
+	c.heavyProduct(workers, func(sc *starScratch, xs []int32, _ int32) { keyed(sc, xs) })
+}
+
+// collectStar runs the star sweep on rels with strategy's thresholds and
+// hands each distinct tuple to collect, one call at a time.
+func collectStar(strategy string, rels []*relation.Relation, opt Options, collect func(xs []int32)) {
+	if len(rels) == 0 {
+		return
+	}
+	c := newStarCtx(rels, Thresholds(strategy, opt, true, rels...))
+	var mu sync.Mutex
+	c.runStar(opt.Workers, func(xs []int32) {
+		mu.Lock()
+		collect(xs)
+		mu.Unlock()
+	})
+}
+
+// starTuples is collectStar gathering the tuples into one slice.
+func starTuples(strategy string, rels []*relation.Relation, opt Options) [][]int32 {
+	var out [][]int32
+	collectStar(strategy, rels, opt, func(xs []int32) { out = append(out, xs) })
+	return out
+}
+
 // StarMM evaluates the projected star query π_{x1..xk}(R1 ⋈ ... ⋈ Rk) with
 // the Section-3.2 algorithm and returns the distinct output tuples.
 func StarMM(rels []*relation.Relation, opt Options) [][]int32 {
-	if len(rels) == 0 {
-		return nil
-	}
-	opt = Thresholds(StrategyMM, opt, true, rels...)
-	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
-	c.stop = opt.Stop
-	var mu sync.Mutex
-	var out [][]int32
-	c.runStar(opt.Workers, true, func(xs []int32) {
-		mu.Lock()
-		out = append(out, xs)
-		mu.Unlock()
-	})
-	return out
+	return starTuples(StrategyMM, rels, opt)
 }
 
 // StarNonMM is the combinatorial baseline: full WCOJ enumeration of the star
 // join followed by deduplication (the plan Lemma 2 underlies, without the
-// matrix step).
+// matrix step), run as the Section-3.2 sweep with every value light.
 func StarNonMM(rels []*relation.Relation, opt Options) [][]int32 {
-	if len(rels) == 0 {
-		return nil
-	}
-	if opt.Delta1 <= 0 || opt.Delta2 <= 0 {
-		opt.Delta1, opt.Delta2 = 1, 1
-	}
-	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
-	c.stop = opt.Stop
-	var mu sync.Mutex
-	var out [][]int32
-	c.runStar(opt.Workers, false, func(xs []int32) {
-		mu.Lock()
-		out = append(out, xs)
-		mu.Unlock()
-	})
-	return out
+	return starTuples(StrategyWCOJ, rels, opt)
 }
 
 // TupleCount is one projected star tuple with its witness count
@@ -395,51 +373,19 @@ func StarMMCounts(rels []*relation.Relation, opt Options) []TupleCount {
 	if len(rels) == 0 {
 		return nil
 	}
-	opt = Thresholds(StrategyMM, opt, true, rels...)
-	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
-	c.stop = opt.Stop
+	c := newStarCtx(rels, Thresholds(StrategyMM, opt, true, rels...))
 	counts := make(map[string]int32)
 	var mu sync.Mutex
-	add := func(key []byte, n int32) {
+	add := func(sc *starScratch, xs []int32, n int32) {
+		sc.key = packTuple(sc.key, xs)
 		mu.Lock()
-		counts[string(key)] += n
+		counts[string(sc.key)] += n
 		mu.Unlock()
 	}
 	// Light categories: every enumerated combination is one witness.
-	c.enumerateLight(opt.Workers, func(sc *starScratch, xs []int32) {
-		sc.key = packTuple(sc.key, xs)
-		add(sc.key, 1)
-	})
+	c.enumerateLight(opt.Workers, func(sc *starScratch, xs []int32) { add(sc, xs, 1) })
 	// All-heavy witnesses via the grouped matrix product.
-	yCols := make(map[int32]int)
-	for i, y := range c.ys {
-		if c.yHeavyCount[i] >= 2 {
-			yCols[y] = len(yCols)
-		}
-	}
-	if len(yCols) > 0 {
-		g := (c.k + 1) / 2
-		rowsA, va := c.buildGroupMatrix(0, g, yCols)
-		if len(rowsA) > 0 {
-			rowsB, wb := c.buildGroupMatrix(g, c.k, yCols)
-			if len(rowsB) > 0 {
-				matrix.ForEachRowProductStop(va, wb, opt.Workers, opt.Stop, func(i int, cnts []int32) {
-					sc := getStarScratch(c.k)
-					xs := sc.xs
-					for j, n := range cnts {
-						if n == 0 {
-							continue
-						}
-						copy(xs, rowsA[i])
-						copy(xs[g:], rowsB[j])
-						sc.key = packTuple(sc.key, xs)
-						add(sc.key, n)
-					}
-					putStarScratch(sc)
-				})
-			}
-		}
-	}
+	c.heavyProduct(opt.Workers, add)
 	out := make([]TupleCount, 0, len(counts))
 	for key, n := range counts {
 		xs := make([]int32, c.k)
@@ -455,18 +401,7 @@ func StarMMCounts(rels []*relation.Relation, opt Options) []TupleCount {
 // StarMMSize returns the number of distinct projected star tuples without
 // collecting them.
 func StarMMSize(rels []*relation.Relation, opt Options) int64 {
-	if len(rels) == 0 {
-		return 0
-	}
-	opt = Thresholds(StrategyMM, opt, true, rels...)
-	c := newStarCtx(rels, opt.Delta1, opt.Delta2)
-	c.stop = opt.Stop
 	var n int64
-	var mu sync.Mutex
-	c.runStar(opt.Workers, true, func(xs []int32) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-	})
+	collectStar(StrategyMM, rels, opt, func([]int32) { n++ })
 	return n
 }

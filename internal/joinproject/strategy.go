@@ -54,18 +54,19 @@ func Thresholds(strategy string, opt Options, star bool, rels ...*relation.Relat
 	return opt
 }
 
-// twoPath evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) with strategy's kernel and
-// thresholds: NonMM runs the combinatorial kernel, anything else Algorithm 1
-// (WCOJ with every value light). sink receives the worker index, the pair
-// and, when counting, its exact witness count (1 otherwise); all pairs of
-// one x arrive from a single goroutine.
+// twoPath evaluates π_{x,z}(R(x,y) ⋈ S(z,y)) with strategy's thresholds
+// and Algorithm 1's sweep: NonMM intersects lists for the all-heavy
+// residual, anything else multiplies bit rows (WCOJ has no heavy value).
+// sink receives the worker index, the pair and, when counting, its exact
+// witness count (1 otherwise); all pairs of one x arrive from a single
+// goroutine.
 func twoPath(strategy string, r, s *relation.Relation, opt Options, counting bool, sink func(worker int, x, z, count int32)) {
 	opt = Thresholds(strategy, opt, false, r, s)
-	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop)
+	residual := residualMatrix
 	if strategy == StrategyNonMM {
-		c.runNonMM(opt.Workers, counting, sink)
-		return
+		residual = residualLists
 	}
+	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop, residual)
 	c.runMode(opt.Workers, counting, c.resolveDedup(opt.Dedup), sink)
 }
 
@@ -82,7 +83,7 @@ func StarKernel(strategy string) string {
 // Star evaluates the projected star query with StarKernel(strategy)'s kernel
 // and returns the distinct tuples and the options it ran with: thresholds
 // resolved for the MM kernel, as given for the combinatorial one, which
-// reads none.
+// runs every value light whatever they say.
 func Star(strategy string, rels []*relation.Relation, opt Options) ([][]int32, Options) {
 	if StarKernel(strategy) == StrategyNonMM {
 		return StarNonMM(rels, opt), opt

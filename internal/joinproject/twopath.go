@@ -10,9 +10,14 @@
 // deduplication, and the residual all-heavy subrelations are multiplied as
 // bit-packed adjacency matrices. The star query Q★k generalizes this with a
 // three-way partition per relation and grouped rectangular matrices
-// (Section 3.2). The combinatorial variants of both (no matrix
-// multiplication, Lemma 2) are implemented alongside as the paper's
-// Non-MMJoin baseline.
+// (Section 3.2).
+//
+// The combinatorial Non-MMJoin of Lemma 2, the paper's baseline, is the same
+// 2-path sweep: one degree partition, one loop over the light categories,
+// and only the all-heavy residual (category 4) found by intersecting sorted
+// heavy-y lists instead of ANDing bit rows. Factorize runs that sweep with
+// the residual left as its two factor matrices, the compressed view of
+// internal/compress.
 //
 // Callers name the plan with one of three strategies: StrategyMM
 // (Algorithm 1), StrategyWCOJ (the worst-case optimal join with dedup that
@@ -89,16 +94,38 @@ type twoPathCtx struct {
 	posByY   [][]int32 // per sY position: z positions (ascending)
 	lightByY [][]int32 // per sY position, heavy y only: light z positions
 
-	colOf []int32 // per sY position: heavy column id or -1
+	colOf []int32 // per sY position: heavy column id (ascending in y) or -1
 	ncols int
 
-	heavyZPos []int32 // matrix row id → z position
+	// The all-heavy residual: heavyZPos maps a heavy z's row id to its z
+	// position; its heavy-y columns are a bit row of zRows (residualMatrix,
+	// residualSkip) or an ascending list in zCols (residualLists).
+	residual  residualPlan
+	heavyZPos []int32
 	zRows     *matrix.BitMatrix
+	zCols     [][]int32
 
-	rX        *relation.Index
-	rYPos     [][]int32 // per rX position: sY positions of its y list (-1 if absent from S)
-	numHeavyA int
+	rX    *relation.Index
+	rYPos [][]int32 // per rX position: sY positions of its y list (-1 if absent from S)
 }
+
+// residualPlan selects how the sweep evaluates category 4 of Algorithm 1, the
+// pairs whose witness has a heavy x, a heavy y and a heavy z. Categories 1–3
+// run the same loops under every plan.
+type residualPlan int
+
+const (
+	// residualMatrix ANDs each heavy x's heavy-y bit row with every heavy z
+	// row and pop-counts the words: the bit-matrix product (StrategyMM, and
+	// StrategyWCOJ, whose partition has no heavy value).
+	residualMatrix residualPlan = iota
+	// residualLists intersects each heavy x's ascending heavy-y column list
+	// with every heavy z's (StrategyNonMM, Lemma 2).
+	residualLists
+	// residualSkip leaves category 4 unevaluated; Factorize returns its two
+	// factors instead.
+	residualSkip
+)
 
 // newTwoPathCtxParallel builds the positional indexes with the given degree
 // of parallelism; construction is a per-key-independent transform, so it
@@ -107,8 +134,8 @@ type twoPathCtx struct {
 // the one stretch a cancellation cannot interrupt. An early return leaves
 // the context partially built, which is safe because the evaluation loops
 // re-check stop before touching any of it.
-func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop func() bool) *twoPathCtx {
-	c := &twoPathCtx{r: r, s: s, d1: d1, d2: d2, stop: stop, sX: s.ByX(), sY: s.ByY(), rX: r.ByX()}
+func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop func() bool, residual residualPlan) *twoPathCtx {
+	c := &twoPathCtx{r: r, s: s, d1: d1, d2: d2, stop: stop, residual: residual, sX: s.ByX(), sY: s.ByY(), rX: r.ByX()}
 	halt := func() bool { return stop != nil && stop() }
 	// rYPos must exist for the evaluation loops even on an abandoned build.
 	c.rYPos = make([][]int32, c.rX.NumKeys())
@@ -176,11 +203,20 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 				c.heavyZPos = append(c.heavyZPos, int32(zp))
 			}
 		}
+	}
+	if residual == residualLists {
+		c.zCols = make([][]int32, len(c.heavyZPos))
+	} else {
 		c.zRows = matrix.NewBitMatrix(len(c.heavyZPos), c.ncols)
-		for row, zp := range c.heavyZPos {
-			for _, y := range c.sX.List(int(zp)) {
-				if yp := c.sY.Pos(y); yp >= 0 {
-					if col := c.colOf[yp]; col >= 0 {
+	}
+	for row, zp := range c.heavyZPos {
+		// S's y lists ascend, and so do column ids, so each list is sorted.
+		for _, y := range c.sX.List(int(zp)) {
+			if yp := c.sY.Pos(y); yp >= 0 {
+				if col := c.colOf[yp]; col >= 0 {
+					if residual == residualLists {
+						c.zCols[row] = append(c.zCols[row], col)
+					} else {
 						c.zRows.Set(row, int(col))
 					}
 				}
@@ -200,11 +236,6 @@ func newTwoPathCtxParallel(r, s *relation.Relation, d1, d2, workers int, stop fu
 			pos[j] = int32(c.sY.Pos(y))
 		}
 	})
-	for i := 0; i < c.rX.NumKeys(); i++ {
-		if c.rX.Degree(i) > d2 {
-			c.numHeavyA++
-		}
-	}
 	return c
 }
 
@@ -239,15 +270,16 @@ func (c *twoPathCtx) resolveDedup(mode DedupMode) bool {
 	}
 }
 
-// runMode evaluates the partitioned join with Algorithm 1. If counting is
-// true, sink receives exact witness counts; otherwise it receives each
-// distinct pair once with count 1. dedupSort selects the light-part dedup
-// strategy and applies to set semantics only; the counting variant needs
-// random-access accumulation and always uses the stamp vector. sink is
-// invoked from multiple goroutines when workers > 1, with all pairs of one x
-// value delivered from a single goroutine, and receives the worker (chunk)
-// index so callers can keep coordination-free per-worker buffers — the
-// Section-6 parallelization pattern.
+// runMode evaluates the partitioned join with Algorithm 1, category 4 as
+// c.residual selects. If counting is true, sink receives exact witness
+// counts; otherwise it receives each distinct pair once with count 1.
+// dedupSort selects the light-part dedup strategy and applies to set
+// semantics only; the counting variant needs random-access accumulation and
+// always uses the stamp vector. sink is invoked from multiple goroutines when
+// workers > 1, with all pairs of one x value delivered from a single
+// goroutine, and receives the worker (chunk) index so callers can keep
+// coordination-free per-worker buffers — the Section-6 parallelization
+// pattern.
 func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(worker int, x, z, count int32)) {
 	nx := c.rX.NumKeys()
 	rowWords := (c.ncols + 63) / 64
@@ -267,18 +299,13 @@ func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(wo
 		wg.Add(1)
 		go func(chunk int) {
 			defer wg.Done()
-			var stamp []int32
+			w := &sweepWorker{aRow: bitset.FromWords(make([]uint64, rowWords), c.ncols)}
 			if !dedupSort || counting {
-				stamp = make([]int32, c.sX.NumKeys())
+				w.stamp = make([]int32, c.sX.NumKeys())
 			}
-			var cnt []int32
-			var touched []int32
-			var zbuf []int32
 			if counting {
-				cnt = make([]int32, c.sX.NumKeys())
+				w.cnt = make([]int32, c.sX.NumKeys())
 			}
-			scratch := make([]uint64, rowWords)
-			aRow := bitset.FromWords(scratch, c.ncols)
 			for {
 				blockLo := int(cursor.Add(schedBlock) - schedBlock)
 				if blockLo >= nx {
@@ -291,8 +318,7 @@ func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(wo
 				if blockHi > nx {
 					blockHi = nx
 				}
-				c.processBlock(blockLo, blockHi, chunk, counting, dedupSort, sink,
-					stamp, cnt, &touched, &zbuf, scratch, aRow)
+				c.processBlock(blockLo, blockHi, chunk, counting, dedupSort, sink, w)
 			}
 		}(chunk)
 	}
@@ -302,28 +328,26 @@ func (c *twoPathCtx) runMode(workers int, counting, dedupSort bool, sink func(wo
 // schedBlock is the dynamic scheduling granularity (x positions per pull).
 const schedBlock = 64
 
+// sweepWorker is one worker's reusable state: the dedup stamp vector over z
+// positions, the witness counts and touched list of the counting variant, the
+// DedupSort buffer, and the current heavy x's heavy-y columns as a bit row
+// (residualMatrix) or an ascending list (residualLists).
+type sweepWorker struct {
+	stamp, cnt, touched, zbuf, aCols []int32
+	aRow                             *bitset.Bitset
+}
+
 // processBlock evaluates x positions [lo, hi) with the worker-local state.
 func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
-	sink func(worker int, x, z, count int32),
-	stamp, cnt []int32, touchedP, zbufP *[]int32, scratch []uint64, aRow *bitset.Bitset) {
-	touched, zbuf := *touchedP, *zbufP
-	defer func() { *touchedP, *zbufP = touched, zbuf }()
+	sink func(worker int, x, z, count int32), w *sweepWorker) {
+	stamp, cnt := w.stamp, w.cnt
+	touched, zbuf := w.touched, w.zbuf
+	defer func() { w.touched, w.zbuf = touched, zbuf }()
+	residual := c.residual != residualSkip && len(c.heavyZPos) > 0
 	for i := lo; i < hi; i++ {
 		a := c.rX.Key(i)
 		epoch := int32(i + 1)
 		aHeavy := c.rX.Degree(i) > c.d2
-		if aHeavy && c.ncols > 0 {
-			for w := range scratch {
-				scratch[w] = 0
-			}
-			for _, yp := range c.rYPos[i] {
-				if yp >= 0 {
-					if col := c.colOf[yp]; col >= 0 {
-						aRow.Set(int(col))
-					}
-				}
-			}
-		}
 		touched = touched[:0]
 		zbuf = zbuf[:0]
 		for _, yp := range c.rYPos[i] {
@@ -337,7 +361,7 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 				cand = c.posByY[yp]
 			} else {
 				// Heavy y and heavy x: only light z partners
-				// (category 3); heavy z is the matrix's job.
+				// (category 3); heavy z is the residual's job.
 				cand = c.lightByY[yp]
 			}
 			switch {
@@ -362,32 +386,8 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 				}
 			}
 		}
-		if aHeavy && c.zRows != nil && c.zRows.Rows > 0 {
-			// Category 4: the matrix product row for this heavy x.
-			for j := 0; j < c.zRows.Rows; j++ {
-				n := aRow.AndCount(c.zRows.Row(j))
-				if n == 0 {
-					continue
-				}
-				zp := c.heavyZPos[j]
-				switch {
-				case counting:
-					if stamp[zp] != epoch {
-						stamp[zp] = epoch
-						cnt[zp] = int32(n)
-						touched = append(touched, zp)
-					} else {
-						cnt[zp] += int32(n)
-					}
-				case dedupSort:
-					zbuf = append(zbuf, zp)
-				default:
-					if stamp[zp] != epoch {
-						stamp[zp] = epoch
-						sink(chunk, a, c.zvals[zp], 1)
-					}
-				}
-			}
+		if aHeavy && residual {
+			touched, zbuf = c.residualRow(i, chunk, counting, dedupSort, sink, w, touched, zbuf)
 		}
 		if counting {
 			for _, zp := range touched {
@@ -406,133 +406,63 @@ func (c *twoPathCtx) processBlock(lo, hi, chunk int, counting, dedupSort bool,
 	}
 }
 
-// runNonMM is the combinatorial (Lemma 2) variant: identical partitioning,
-// but the all-heavy residual is evaluated by pairwise sorted-list
-// intersection instead of a bit-packed matrix product.
-func (c *twoPathCtx) runNonMM(workers int, counting bool, sink func(worker int, x, z, count int32)) {
-	// Precompute each heavy z's sorted heavy-column list.
-	zCols := make([][]int32, len(c.heavyZPos))
-	for j, zp := range c.heavyZPos {
-		var cols []int32
-		for _, y := range c.sX.List(int(zp)) {
-			if yp := c.sY.Pos(y); yp >= 0 {
-				if col := c.colOf[yp]; col >= 0 {
-					cols = append(cols, col)
+// residualRow adds category 4 for the heavy x at position i: its heavy-y
+// columns against every heavy z's, by bit-row AND (residualMatrix) or sorted
+// list intersection (residualLists), accumulated like processBlock's light
+// categories. It is kept out of processBlock so the light loops, the hot
+// part on most inputs, keep their registers.
+func (c *twoPathCtx) residualRow(i, chunk int, counting, dedupSort bool,
+	sink func(worker int, x, z, count int32), w *sweepWorker, touched, zbuf []int32) ([]int32, []int32) {
+	lists := c.residual == residualLists
+	w.aCols = w.aCols[:0]
+	clear(w.aRow.Words())
+	heavyY := false
+	for _, yp := range c.rYPos[i] {
+		if yp >= 0 {
+			if col := c.colOf[yp]; col >= 0 {
+				heavyY = true
+				if lists {
+					// Ascending: R's y lists and column ids both follow y.
+					w.aCols = append(w.aCols, col)
+				} else {
+					w.aRow.Set(int(col))
 				}
 			}
 		}
-		slices.Sort(cols)
-		zCols[j] = cols
 	}
-	nx := c.rX.NumKeys()
-	nw := par.Workers(workers)
-	if nw > nx {
-		nw = nx
+	if !heavyY {
+		return touched, zbuf
 	}
-	if nw < 1 {
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for chunk := 0; chunk < nw; chunk++ {
-		wg.Add(1)
-		go func(chunk int) {
-			defer wg.Done()
-			stamp := make([]int32, c.sX.NumKeys())
-			var cnt []int32
-			var touched []int32
-			if counting {
-				cnt = make([]int32, c.sX.NumKeys())
+	a, epoch := c.rX.Key(i), int32(i+1)
+	for j, zp := range c.heavyZPos {
+		var n int
+		if lists {
+			n = relation.IntersectCount(w.aCols, c.zCols[j])
+		} else {
+			n = w.aRow.AndCount(c.zRows.Row(j))
+		}
+		if n == 0 {
+			continue
+		}
+		switch {
+		case counting:
+			if w.stamp[zp] != epoch {
+				w.stamp[zp] = epoch
+				w.cnt[zp] = int32(n)
+				touched = append(touched, zp)
+			} else {
+				w.cnt[zp] += int32(n)
 			}
-			var aCols []int32
-			for {
-				blockLo := int(cursor.Add(schedBlock) - schedBlock)
-				if blockLo >= nx {
-					return
-				}
-				if c.stop != nil && c.stop() {
-					return
-				}
-				blockHi := blockLo + schedBlock
-				if blockHi > nx {
-					blockHi = nx
-				}
-				for i := blockLo; i < blockHi; i++ {
-					a := c.rX.Key(i)
-					epoch := int32(i + 1)
-					aHeavy := c.rX.Degree(i) > c.d2
-					if aHeavy {
-						aCols = aCols[:0]
-						for _, yp := range c.rYPos[i] {
-							if yp >= 0 {
-								if col := c.colOf[yp]; col >= 0 {
-									aCols = append(aCols, col)
-								}
-							}
-						}
-						slices.Sort(aCols)
-					}
-					touched = touched[:0]
-					for _, yp := range c.rYPos[i] {
-						if yp < 0 {
-							continue
-						}
-						var cand []int32
-						if c.colOf[yp] < 0 || !aHeavy {
-							cand = c.posByY[yp]
-						} else {
-							cand = c.lightByY[yp]
-						}
-						if counting {
-							for _, zp := range cand {
-								if stamp[zp] != epoch {
-									stamp[zp] = epoch
-									cnt[zp] = 1
-									touched = append(touched, zp)
-								} else {
-									cnt[zp]++
-								}
-							}
-						} else {
-							for _, zp := range cand {
-								if stamp[zp] != epoch {
-									stamp[zp] = epoch
-									sink(chunk, a, c.zvals[zp], 1)
-								}
-							}
-						}
-					}
-					if aHeavy && len(aCols) > 0 {
-						for j := range zCols {
-							n := relation.IntersectCount(aCols, zCols[j])
-							if n == 0 {
-								continue
-							}
-							zp := c.heavyZPos[j]
-							if counting {
-								if stamp[zp] != epoch {
-									stamp[zp] = epoch
-									cnt[zp] = int32(n)
-									touched = append(touched, zp)
-								} else {
-									cnt[zp] += int32(n)
-								}
-							} else if stamp[zp] != epoch {
-								stamp[zp] = epoch
-								sink(chunk, a, c.zvals[zp], 1)
-							}
-						}
-					}
-					if counting {
-						for _, zp := range touched {
-							sink(chunk, a, c.zvals[zp], cnt[zp])
-						}
-					}
-				}
+		case dedupSort:
+			zbuf = append(zbuf, zp)
+		default:
+			if w.stamp[zp] != epoch {
+				w.stamp[zp] = epoch
+				sink(chunk, a, c.zvals[zp], 1)
 			}
-		}(chunk)
+		}
 	}
-	wg.Wait()
+	return touched, zbuf
 }
 
 // pairCollector gathers output pairs into coordination-free per-worker
@@ -626,9 +556,9 @@ func TwoPathMMVisit(r, s *relation.Relation, opt Options, visit func(x, z, count
 	TwoPathVisit(StrategyMM, r, s, opt, visit)
 }
 
-// TwoPathNonMM is the combinatorial Lemma-2 baseline: the same degree
-// partitioning, with the heavy residual computed by pairwise sorted-list
-// intersections instead of matrix multiplication.
+// TwoPathNonMM is the combinatorial Lemma-2 baseline: Algorithm 1's sweep,
+// with the all-heavy residual computed by pairwise sorted-list intersections
+// instead of bit-row products.
 func TwoPathNonMM(r, s *relation.Relation, opt Options) [][2]int32 {
 	return TwoPath(StrategyNonMM, r, s, opt)
 }
@@ -655,4 +585,52 @@ func TwoPathSize(r, s *relation.Relation, opt Options) int64 {
 		total += pc.n
 	}
 	return total
+}
+
+// Factorization is Algorithm 1's all-heavy residual of π_{x,z}(R ⋈ S) left
+// unmultiplied: the boolean product M1·M2ᵀ holds exactly the pairs with a
+// witness whose x, y and z are all heavy.
+type Factorization struct {
+	// HX and HZ are the heavy x and z values with at least one heavy y,
+	// ascending: HX[i] owns row i of M1, HZ[j] row j of M2.
+	HX, HZ []int32
+	// M1 (heavy x × heavy y) and M2 (heavy z × heavy y) share the heavy-y
+	// columns, numbered in ascending y.
+	M1, M2 *matrix.BitMatrix
+}
+
+// Factorize runs Algorithm 1's sweep with category 4 skipped and returns the
+// residual as its two factors. light receives every distinct pair with a
+// light-category witness (categories 1–3) once, with the worker index as in
+// TwoPath's sink; all pairs of one x arrive from a single goroutine. Unset
+// thresholds resolve as for StrategyMM.
+func Factorize(r, s *relation.Relation, opt Options, light func(worker int, x, z int32)) Factorization {
+	opt = Thresholds(StrategyMM, opt, false, r, s)
+	c := newTwoPathCtxParallel(r, s, opt.Delta1, opt.Delta2, opt.Workers, opt.Stop, residualSkip)
+	c.runMode(opt.Workers, false, c.resolveDedup(opt.Dedup), func(w int, x, z, _ int32) { light(w, x, z) })
+	f := Factorization{M2: c.zRows}
+	if f.M2 == nil { // an abandoned build
+		f.M2 = matrix.NewBitMatrix(0, c.ncols)
+	}
+	for _, zp := range c.heavyZPos {
+		f.HZ = append(f.HZ, c.zvals[zp])
+	}
+	// Heavy x rows: x degree above Δ2 and at least one heavy y neighbour,
+	// the rows category 4 would have ANDed.
+	var rows []int
+	for i, yps := range c.rYPos {
+		if c.rX.Degree(i) > c.d2 && slices.ContainsFunc(yps, func(yp int32) bool { return yp >= 0 && c.colOf[yp] >= 0 }) {
+			rows = append(rows, i)
+			f.HX = append(f.HX, c.rX.Key(i))
+		}
+	}
+	f.M1 = matrix.NewBitMatrix(len(rows), c.ncols)
+	for row, i := range rows {
+		for _, yp := range c.rYPos[i] {
+			if yp >= 0 && c.colOf[yp] >= 0 {
+				f.M1.Set(row, int(c.colOf[yp]))
+			}
+		}
+	}
+	return f
 }

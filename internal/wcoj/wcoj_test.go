@@ -236,8 +236,9 @@ func TestQuickProject2PathCounts(t *testing.T) {
 	}
 }
 
-// Property: |ProjectStar| ≤ |full join|, and every projected tuple has a
-// witness in the full join.
+// Property: |ProjectStar| ≤ |full join|, every projected tuple has a
+// witness in the full join, no tuple repeats, and every brute-force
+// projected tuple is present — so ProjectStar is exactly the projection.
 func TestQuickProjectStarSound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -259,6 +260,23 @@ func TestQuickProjectStarSound(t *testing.T) {
 			}
 			if len(IntersectK(lists)) == 0 {
 				return false
+			}
+		}
+		got := map[[3]int32]bool{}
+		for _, xs := range proj {
+			key := [3]int32{xs[0], xs[1], xs[2]}
+			if got[key] {
+				return false
+			}
+			got[key] = true
+		}
+		for _, p1 := range rels[0].Pairs() {
+			for _, p2 := range rels[1].Pairs() {
+				for _, p3 := range rels[2].Pairs() {
+					if p1.Y == p2.Y && p1.Y == p3.Y && !got[[3]int32{p1.X, p2.X, p3.X}] {
+						return false
+					}
+				}
 			}
 		}
 		return true
